@@ -4,7 +4,7 @@ survivability assessment."""
 
 __version__ = "0.1.0"
 
-from .special import BetaParams, beta_pdf, beta2_pdf, log_gamma, std_normal_cdf
+from .special import BetaParams, beta_pdf, beta2_pdf, std_normal_cdf
 from .families import (
     AN5,
     AN8,
@@ -17,11 +17,8 @@ from .families import (
     an8_embedding,
     complement,
     marginal_params,
-    ol_minus_pdf,
-    ol_plus_pdf,
-    ol_star_pdf,
 )
-from .sampling import MomentEstimate, RngState, estimate_moments, gamma_sample, sample_pair, sample_pairs
+from .sampling import MomentEstimate, RngState, estimate_moments, gamma_sample, sample_pairs
 from .grids import DensityGrid, density_grid
 from .inference import (
     DegeneratePosteriorError,
@@ -53,16 +50,12 @@ __all__ = [
     "BetaParams",
     "beta_pdf",
     "beta2_pdf",
-    "log_gamma",
     "std_normal_cdf",
     "FamilySpec",
     "NotClosedError",
     "an8_embedding",
     "complement",
     "marginal_params",
-    "ol_minus_pdf",
-    "ol_plus_pdf",
-    "ol_star_pdf",
     "OL_PLUS",
     "OL_MINUS",
     "OL_STAR",
@@ -72,7 +65,6 @@ __all__ = [
     "RngState",
     "MomentEstimate",
     "gamma_sample",
-    "sample_pair",
     "sample_pairs",
     "estimate_moments",
     "DensityGrid",

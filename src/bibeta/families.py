@@ -18,12 +18,14 @@ handled by Monte Carlo histograms (see grids.density_grid).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .special import BetaParams, log_beta, log_gamma
+from .special import BetaParams, log_beta
 
 OL_PLUS = "ol-plus"
 OL_MINUS = "ol-minus"
@@ -32,11 +34,30 @@ AN5 = "an5"
 AN8 = "an8"
 INDEPENDENT = "indep"
 
-VARIANTS = frozenset({OL_PLUS, OL_MINUS, OL_STAR, AN5, AN8, INDEPENDENT})
+_OL_ROLES = ("n-", "-n", "dd")
+_NO_FLIP = (False, False)
+
+# The constructions above in machine form, from which marginals, sampling,
+# the OL closed form, the AN8 embedding and complementation are all read:
+# variant -> (roles, flip).  Each gamma component has a two-letter role, its
+# role in X then in Y: n numerator, d rest of the denominator, - absent.
+# flip marks the coordinates complemented afterwards.  The independent
+# variant's components are (beta_x.a, beta_x.b, beta_y.a, beta_y.b).
+STRUCTURE = {
+    OL_PLUS: (_OL_ROLES, _NO_FLIP),
+    OL_MINUS: (_OL_ROLES, (False, True)),
+    OL_STAR: (_OL_ROLES, (True, True)),
+    AN5: (("n-", "-n", "nd", "dn", "dd"), _NO_FLIP),
+    AN8: (("n-", "-n", "d-", "-d", "nn", "dd", "nd", "dn"), _NO_FLIP),
+    INDEPENDENT: (("n-", "d-", "-n", "-d"), _NO_FLIP),
+}
+
+VARIANTS = frozenset(STRUCTURE)
 OL_VARIANTS = frozenset({OL_PLUS, OL_MINUS, OL_STAR})
 CLOSED_FORM_VARIANTS = frozenset({OL_PLUS, OL_MINUS, OL_STAR, INDEPENDENT})
 
-_ALPHA_LENGTH = {OL_PLUS: 3, OL_MINUS: 3, OL_STAR: 3, AN5: 5, AN8: 8}
+# coordinates complemented by each ``which`` of complement()
+_WHICH = {"x": (True, False), "y": (False, True), "both": (True, True)}
 
 
 class NotClosedError(ValueError):
@@ -66,7 +87,7 @@ class FamilySpec:
         if self.alphas is None or self.beta_x is not None or self.beta_y is not None:
             raise ValueError(f"{self.variant} requires an alpha vector and no beta marginals")
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        n = _ALPHA_LENGTH[self.variant]
+        n = len(STRUCTURE[self.variant][0])
         if len(self.alphas) != n:
             raise ValueError(f"{self.variant} needs {n} alphas, got {len(self.alphas)}")
         if any(a < 0 or not math.isfinite(a) for a in self.alphas):
@@ -101,6 +122,13 @@ class FamilySpec:
         return cls(INDEPENDENT, beta_x=beta_x, beta_y=beta_y)
 
     @property
+    def shapes(self) -> Tuple[float, ...]:
+        """Gamma shapes of the components, in the order STRUCTURE lists their roles."""
+        if self.variant == INDEPENDENT:
+            return (self.beta_x.a, self.beta_x.b, self.beta_y.a, self.beta_y.b)
+        return self.alphas
+
+    @property
     def has_closed_form(self) -> bool:
         return self.variant in CLOSED_FORM_VARIANTS
 
@@ -111,32 +139,37 @@ class FamilySpec:
         return f"{self.variant}({body})"
 
 
+@lru_cache(maxsize=None)
+def ratio_axes(variant: str) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], bool], ...]:
+    """Per coordinate: numerator indices, rest-of-denominator indices, complemented.
+
+    Coordinate k is sum(U[num]) / (sum(U[num]) + sum(U[rest])), replaced by
+    one minus that when complemented.
+    """
+    roles, flip = STRUCTURE[variant]
+    return tuple(
+        (
+            tuple(i for i, r in enumerate(roles) if r[axis] == "n"),
+            tuple(i for i, r in enumerate(roles) if r[axis] == "d"),
+            flipped,
+        )
+        for axis, flipped in enumerate(flip)
+    )
+
+
 def marginal_params(family: FamilySpec) -> Tuple[BetaParams, BetaParams]:
     """Exact beta parameters of the two marginals.
 
-    Read off the gamma sums in numerator and denominator of each ratio;
-    complemented coordinates swap (a, b).
+    Sum the shapes of each coordinate's numerator and rest-of-denominator
+    components; complemented coordinates swap (a, b).
     """
-    v = family.variant
-    if v == INDEPENDENT:
-        return family.beta_x, family.beta_y
-    a = family.alphas
-    if v == OL_PLUS:
-        return BetaParams(a[0], a[2]), BetaParams(a[1], a[2])
-    if v == OL_MINUS:
-        return BetaParams(a[0], a[2]), BetaParams(a[2], a[1])
-    if v == OL_STAR:
-        return BetaParams(a[2], a[0]), BetaParams(a[2], a[1])
-    if v == AN5:
-        return (
-            BetaParams(a[0] + a[2], a[3] + a[4]),
-            BetaParams(a[1] + a[3], a[2] + a[4]),
-        )
-    # AN8: X num {1,5,7}, den {3,6,8}; Y num {2,5,8}, den {4,6,7} (1-indexed)
-    return (
-        BetaParams(a[0] + a[4] + a[6], a[2] + a[5] + a[7]),
-        BetaParams(a[1] + a[4] + a[7], a[3] + a[5] + a[6]),
-    )
+    shapes = family.shapes
+    out = []
+    for num, rest, flipped in ratio_axes(family.variant):
+        a = reduce(operator.add, (shapes[i] for i in num))
+        b = reduce(operator.add, (shapes[i] for i in rest))
+        out.append(BetaParams(b, a) if flipped else BetaParams(a, b))
+    return out[0], out[1]
 
 
 # ---------------------------------------------------------------------------
@@ -146,30 +179,15 @@ def marginal_params(family: FamilySpec) -> Tuple[BetaParams, BetaParams]:
 ArrayLike = Union[float, np.ndarray]
 
 
-def _check_alphas3(alphas: Sequence[float]) -> Tuple[float, float, float]:
-    if len(alphas) != 3:
-        raise ValueError(f"OL densities need 3 alphas, got {len(alphas)}")
-    a1, a2, a3 = (float(a) for a in alphas)
-    if min(a1, a2, a3) <= 0:
-        raise ValueError(f"OL densities need strictly positive alphas, got {alphas}")
-    return a1, a2, a3
-
-
-def ol_minus_log_normalizer(a1: float, a2: float, a3: float) -> float:
-    """ln of the OL normalizing constant Gamma(a1+a2+a3)/(Gamma(a1)Gamma(a2)Gamma(a3)).
-
-    The published density is stated only up to proportionality; the constant
-    follows from integrating the shared gamma denominator out of the
-    construction and is pinned by the quadrature normalization tests.
-    """
-    return log_gamma(a1 + a2 + a3) - log_gamma(a1) - log_gamma(a2) - log_gamma(a3)
-
-
 def _ol_minus_logpdf(eta: ArrayLike, theta: ArrayLike, a1: float, a2: float, a3: float) -> ArrayLike:
     # eta^(a1-1) (1-eta)^(a2+a3-1) theta^(a1+a3-1) (1-theta)^(a2-1)
-    #   / [1 - eta (1-theta)]^(a1+a2+a3), fully normalized
+    #   / [1 - eta (1-theta)]^(a1+a2+a3), normalized by
+    # Gamma(a1+a2+a3)/(Gamma(a1)Gamma(a2)Gamma(a3)).  The published density is
+    # stated only up to proportionality; the constant follows from integrating
+    # the shared gamma denominator out of the construction and is pinned by the
+    # quadrature normalization tests.
     return (
-        ol_minus_log_normalizer(a1, a2, a3)
+        math.lgamma(a1 + a2 + a3) - math.lgamma(a1) - math.lgamma(a2) - math.lgamma(a3)
         + (a1 - 1.0) * np.log(eta)
         + (a2 + a3 - 1.0) * np.log1p(-eta)
         + (a1 + a3 - 1.0) * np.log(theta)
@@ -178,29 +196,13 @@ def _ol_minus_logpdf(eta: ArrayLike, theta: ArrayLike, a1: float, a2: float, a3:
     )
 
 
-def ol_minus_pdf(eta: float, theta: float, alphas: Sequence[float]) -> float:
-    """Joint density of the negatively dependent pair (X, 1-Y) of the OL construction."""
-    a1, a2, a3 = _check_alphas3(alphas)
-    if not (0.0 < eta < 1.0 and 0.0 < theta < 1.0):
-        raise ValueError(f"ol_minus_pdf requires a point in the open unit square, got ({eta}, {theta})")
-    return float(math.exp(_ol_minus_logpdf(eta, theta, a1, a2, a3)))
-
-
-def ol_plus_pdf(x: float, y: float, alphas: Sequence[float]) -> float:
-    """Joint density of the positively dependent OL pair (X, Y); equals ol_minus_pdf(x, 1-y)."""
-    return ol_minus_pdf(x, 1.0 - y, alphas)
-
-
-def ol_star_pdf(x: float, y: float, alphas: Sequence[float]) -> float:
-    """Joint density of the doubly complemented pair (1-X, 1-Y); equals ol_plus_pdf(1-x, 1-y)."""
-    return ol_plus_pdf(1.0 - x, 1.0 - y, alphas)
-
-
 def closed_form_logpdf(family: FamilySpec, x: ArrayLike, y: ArrayLike) -> ArrayLike:
     """Vectorized log joint density for the closed-form variants.
 
     Arguments must lie strictly inside the unit square.  Raises for AN5/AN8,
-    whose joint density has no closed form.
+    whose joint density has no closed form.  Every OL variant is the OL-
+    density evaluated with the coordinates complemented where its flips
+    differ from those of OL-.
     """
     v = family.variant
     if v == INDEPENDENT:
@@ -215,51 +217,40 @@ def closed_form_logpdf(family: FamilySpec, x: ArrayLike, y: ArrayLike) -> ArrayL
         )
     if v not in OL_VARIANTS:
         raise ValueError(f"{v} has no closed-form joint density")
-    a1, a2, a3 = family.alphas
-    if v == OL_MINUS:
-        return _ol_minus_logpdf(x, y, a1, a2, a3)
-    if v == OL_PLUS:
-        return _ol_minus_logpdf(x, 1.0 - np.asarray(y, dtype=float), a1, a2, a3)
-    return _ol_minus_logpdf(1.0 - np.asarray(x, dtype=float), np.asarray(y, dtype=float), a1, a2, a3)
+    flip_x, flip_y = (f != g for f, g in zip(STRUCTURE[v][1], STRUCTURE[OL_MINUS][1]))
+    if flip_x:
+        x = 1.0 - np.asarray(x, dtype=float)
+    if flip_y:
+        y = 1.0 - np.asarray(y, dtype=float)
+    return _ol_minus_logpdf(x, y, *family.alphas)
 
 
 # ---------------------------------------------------------------------------
 # Closure under complementation
 # ---------------------------------------------------------------------------
 
-# AN8 index permutations induced by V -> 1/V (complement x) and W -> 1/W
-# (complement y).  Each U_i occupies one membership slot
-# (V-side, W-side) in {num, den, none}^2:
-#   1:(num,-) 2:(-,num) 3:(den,-) 4:(-,den) 5:(num,num) 6:(den,den)
-#   7:(num,den) 8:(den,num)
-# Inverting V swaps the V-side role, inverting W the W-side role; the new
-# alpha vector reads each slot's occupant off the swapped table.
-_COMP_X_PERM = (2, 1, 0, 3, 7, 6, 5, 4)
-_COMP_Y_PERM = (0, 3, 2, 1, 6, 7, 4, 5)
-_COMP_BOTH_PERM = (2, 3, 0, 1, 5, 4, 7, 6)
+_SWAP_ND = str.maketrans("nd", "dn")
 
-_AN8_PERMS = {"x": _COMP_X_PERM, "y": _COMP_Y_PERM, "both": _COMP_BOTH_PERM}
 
-# Nonzero-slot patterns of the OL embeddings inside AN8 (0-indexed):
-#   OL+(a,b,c) -> (a, b, 0, 0, 0, c, 0, 0)
-#   OL-(a,b,c) -> (a, 0, 0, b, 0, 0, 0, c)
-#   OL*(a,b,c) -> (0, 0, a, b, c, 0, 0, 0)
-_OL_EMBED_SLOTS = {
-    OL_PLUS: (0, 1, 5),
-    OL_MINUS: (0, 3, 7),
-    OL_STAR: (2, 3, 4),
-}
+def _an8_slots(roles: Sequence[str], flip: Tuple[bool, bool]) -> Tuple[int, ...]:
+    """The AN8 index each component of a (roles, flip) description lands on.
 
-# Direct variant relabelings: complementing these coordinates of the key
-# variant lands exactly on another OL variant with the same alphas.
-_OL_RELABEL = {
-    (OL_PLUS, "y"): OL_MINUS,
-    (OL_PLUS, "both"): OL_STAR,
-    (OL_MINUS, "y"): OL_PLUS,
-    (OL_MINUS, "x"): OL_STAR,
-    (OL_STAR, "x"): OL_MINUS,
-    (OL_STAR, "both"): OL_PLUS,
-}
+    Complementing a coordinate exchanges its numerator and rest of the
+    denominator (1 - N/(N+D) = D/(N+D)), so a component takes the AN8 slot
+    whose role is its own with n and d swapped on every flipped axis.
+    """
+    an8_roles = STRUCTURE[AN8][0]
+    return tuple(
+        an8_roles.index("".join(c.translate(_SWAP_ND) if f else c for c, f in zip(role, flip)))
+        for role in roles
+    )
+
+
+def _an8_vector(alphas: Sequence[float], slots: Sequence[int]) -> Tuple[float, ...]:
+    vec = [0.0] * len(STRUCTURE[AN8][0])
+    for slot, value in zip(slots, alphas):
+        vec[slot] = value
+    return tuple(vec)
 
 
 def an8_embedding(family: FamilySpec) -> FamilySpec:
@@ -268,46 +259,37 @@ def an8_embedding(family: FamilySpec) -> FamilySpec:
         return family
     if family.variant not in OL_VARIANTS:
         raise ValueError(f"no AN8 embedding for variant {family.variant}")
-    vec = [0.0] * 8
-    for slot, value in zip(_OL_EMBED_SLOTS[family.variant], family.alphas):
-        vec[slot] = value
-    return FamilySpec(AN8, tuple(vec))
-
-
-def _lower_an8(alphas: Tuple[float, ...]) -> Optional[FamilySpec]:
-    """Recognize an AN8 vector as an OL embedding and return the OL spec."""
-    support = tuple(i for i, a in enumerate(alphas) if a != 0.0)
-    for variant, slots in _OL_EMBED_SLOTS.items():
-        if support == slots:
-            return FamilySpec(variant, tuple(alphas[i] for i in slots))
-    return None
+    return FamilySpec(AN8, _an8_vector(family.alphas, _an8_slots(*STRUCTURE[family.variant])))
 
 
 def complement(family: FamilySpec, which: str) -> FamilySpec:
     """The FamilySpec whose law is that of the complemented pair.
 
     ``which`` selects the complemented coordinate(s): "x", "y" or "both".
-    OL variants relabel in place where the three-variant taxonomy allows it;
-    the remaining OL cases (the (1-X, Y)-type laws, which are not OL
-    variants in this coordinate convention) go through the AN8 embedding,
-    which is closed under every complementation.  AN8 results that match an
-    OL embedding pattern are lowered back, so double complementation is an
-    exact involution.  AN5 is not closed and raises.
+    They are toggled in the family's flip pair, and the result is placed in
+    AN8, which is closed under every complementation.  An AN8 vector whose
+    support matches an OL embedding is lowered back to that OL variant, so
+    OL variants relabel in place where the three-variant taxonomy allows it
+    and double complementation is an exact involution; the (1-X, Y)-type
+    laws, which are not OL variants in this coordinate convention, stay in
+    AN8.  AN5 is not closed and raises.
     """
-    if which not in ("x", "y", "both"):
+    if which not in _WHICH:
         raise ValueError(f"which must be 'x', 'y' or 'both', got {which!r}")
     v = family.variant
     if v == AN5:
         raise NotClosedError("the AN5 family is not closed under complementation")
     if v == INDEPENDENT:
-        bx = family.beta_x.swapped() if which in ("x", "both") else family.beta_x
-        by = family.beta_y.swapped() if which in ("y", "both") else family.beta_y
+        bx, by = (
+            p.swapped() if f else p for p, f in zip((family.beta_x, family.beta_y), _WHICH[which])
+        )
         return FamilySpec.independent(bx, by)
-    if v in OL_VARIANTS:
-        target = _OL_RELABEL.get((v, which))
-        if target is not None:
-            return FamilySpec(target, family.alphas)
-        return complement(an8_embedding(family), which)
-    permuted = tuple(family.alphas[i] for i in _AN8_PERMS[which])
-    lowered = _lower_an8(permuted)
-    return lowered if lowered is not None else FamilySpec(AN8, permuted)
+    roles, flip = STRUCTURE[v]
+    flip = (flip[0] != _WHICH[which][0], flip[1] != _WHICH[which][1])
+    vec = _an8_vector(family.alphas, _an8_slots(roles, flip))
+    support = {i for i, a in enumerate(vec) if a != 0.0}
+    for variant in (OL_PLUS, OL_MINUS, OL_STAR):
+        slots = _an8_slots(*STRUCTURE[variant])
+        if support == set(slots):
+            return FamilySpec(variant, tuple(vec[i] for i in slots))
+    return FamilySpec(AN8, vec)

@@ -99,10 +99,9 @@ def density_grid(
         raise ValueError(f"grid resolution m must be >= 2, got {m}")
     if family.has_closed_form:
         mid = grid_midpoints(m)
-        x, y = np.meshgrid(mid, mid, indexing="ij")
         # max-subtraction before exp keeps sharply concentrated densities
         # from underflowing on every cell
-        log_cells = closed_form_logpdf(family, x, y)
+        log_cells = closed_form_logpdf(family, mid[:, None], mid[None, :])
         cells = np.exp(log_cells - log_cells.max())
         cells *= (m * m) / cells.sum()
         return DensityGrid(m=m, cells=cells, estimated=False, n_samples=0, family=family)

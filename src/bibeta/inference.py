@@ -14,9 +14,10 @@ from Binomial(n - n1, theta) for k2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -148,30 +149,28 @@ def pi_posterior(d: DiagnosticData, prior: BetaParams) -> BetaParams:
     return BetaParams(prior.a + d.n1, prior.b + d.n2)
 
 
-# One histogram per (family, m, n_samples, seed, stream): posterior re-runs
-# across different data must vary only through the likelihood.  Bounded so
-# seed sweeps don't accumulate grids indefinitely.
-_PRIOR_GRID_CACHE: Dict[tuple, np.ndarray] = {}
-_PRIOR_GRID_CACHE_LIMIT = 16
-
-
 def _log_prior_grid(family: FamilySpec, m: int, rng: Optional[RngState], n_samples: int) -> np.ndarray:
     mid = grid_midpoints(m)
     if family.has_closed_form:
-        eta, theta = np.meshgrid(mid, mid, indexing="ij")
-        return closed_form_logpdf(family, eta, theta)
+        return closed_form_logpdf(family, mid[:, None], mid[None, :])
     if rng is None:
         raise ValueError(f"a {family.variant} prior needs an RngState for its density grid")
-    key = (family, m, n_samples, rng.seed, rng.stream)
-    cached = _PRIOR_GRID_CACHE.pop(key, None)
-    if cached is None:
-        grid = density_grid(family, m=m, n_samples=n_samples, rng=RngState(rng.seed, rng.stream))
-        with np.errstate(divide="ignore"):
-            cached = np.log(grid.cells)
-        while len(_PRIOR_GRID_CACHE) >= _PRIOR_GRID_CACHE_LIMIT:
-            _PRIOR_GRID_CACHE.pop(next(iter(_PRIOR_GRID_CACHE)))
-    _PRIOR_GRID_CACHE[key] = cached  # re-insertion keeps hot grids newest
-    return cached
+    return _estimated_log_prior_grid(family, m, n_samples, rng.seed, rng.stream)
+
+
+# One histogram per (family, m, n_samples, seed, stream): posterior re-runs
+# across different data must vary only through the likelihood.  Bounded so
+# seed sweeps don't accumulate grids indefinitely.
+@functools.lru_cache(maxsize=16)
+def _estimated_log_prior_grid(
+    family: FamilySpec, m: int, n_samples: int, seed: int, stream: int
+) -> np.ndarray:
+    """Read-only log histogram density of an AN5/AN8 prior on the m x m grid."""
+    grid = density_grid(family, m=m, n_samples=n_samples, rng=RngState(seed, stream))
+    with np.errstate(divide="ignore"):
+        log_cells = np.log(grid.cells)
+    log_cells.flags.writeable = False
+    return log_cells
 
 
 def joint_posterior(
@@ -224,6 +223,13 @@ def marginal_csv(gp: GridPosterior, coord: str) -> str:
     return csv_text(["coordinate", "probability"], zip(axis.tolist(), masses.tolist()))
 
 
+def _marginal_means(gp: GridPosterior) -> Tuple[np.ndarray, np.ndarray, float, float]:
+    """Marginal masses of eta and theta, and their posterior means."""
+    pe = gp.weights.sum(axis=1)
+    pt = gp.weights.sum(axis=0)
+    return pe, pt, float(pe @ gp.eta_axis), float(pt @ gp.theta_axis)
+
+
 def posterior_summary(gp: GridPosterior) -> PosteriorSummary:
     """Grid-weighted means, argmax cell and Pearson correlation.
 
@@ -231,10 +237,7 @@ def posterior_summary(gp: GridPosterior) -> PosteriorSummary:
     concentrated on a single cell has no correlation; 0 is reported.
     """
     w = gp.weights
-    pe = w.sum(axis=1)
-    pt = w.sum(axis=0)
-    mean_eta = float(pe @ gp.eta_axis)
-    mean_theta = float(pt @ gp.theta_axis)
+    pe, pt, mean_eta, mean_theta = _marginal_means(gp)
     var_eta = float(pe @ gp.eta_axis**2) - mean_eta**2
     var_theta = float(pt @ gp.theta_axis**2) - mean_theta**2
     flat = int(np.argmax(w))
@@ -277,10 +280,7 @@ def predictive_propensity(
         pi_star = pi_posterior(gp.data, gp.prior.pi_prior).mean
     if not (0.0 < pi_star < 1.0):
         raise ValueError(f"pi_star must lie in (0, 1), got {pi_star}")
-    pe = gp.weights.sum(axis=1)
-    pt = gp.weights.sum(axis=0)
-    mean_eta = float(pe @ gp.eta_axis)
-    mean_theta = float(pt @ gp.theta_axis)
+    _, _, mean_eta, mean_theta = _marginal_means(gp)
     pos = pi_star * mean_eta
     pos_bar = (1.0 - pi_star) * (1.0 - mean_theta)
     neg = (1.0 - pi_star) * mean_theta

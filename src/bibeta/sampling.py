@@ -57,10 +57,6 @@ class RngState:
             np.random.Philox(seed=np.random.SeedSequence(self.seed, spawn_key=(self.stream, *key)))
         )
 
-    def clone(self) -> "RngState":
-        """An unconsumed copy positioned at the start of the stream."""
-        return RngState(self.seed, self.stream)
-
     @property
     def identity(self) -> Tuple[int, int]:
         return (self.seed, self.stream)
@@ -107,25 +103,6 @@ def gamma_sample(rng: RngState, shape: float, size: Optional[int] = None):
     return float(draws[0]) if size is None else draws
 
 
-# component index sets defining each coordinate as
-# sum(numerator) / (sum(numerator) + sum(rest-of-denominator))
-_RATIO_STRUCTURE = {
-    families.OL_PLUS: (((0,), (2,)), ((1,), (2,))),
-    families.OL_MINUS: (((0,), (2,)), ((1,), (2,))),
-    families.OL_STAR: (((0,), (2,)), ((1,), (2,))),
-    families.AN5: (((0, 2), (3, 4)), ((1, 3), (2, 4))),
-    families.AN8: (((0, 4, 6), (2, 5, 7)), ((1, 4, 7), (3, 5, 6))),
-    families.INDEPENDENT: (((0,), (1,)), ((2,), (3,))),
-}
-
-
-def _component_shapes(family: FamilySpec) -> Tuple[float, ...]:
-    if family.variant == families.INDEPENDENT:
-        bx, by = family.beta_x, family.beta_y
-        return (bx.a, bx.b, by.a, by.b)
-    return family.alphas
-
-
 def _linear_ratio(num: Sequence[np.ndarray], rest: Sequence[np.ndarray]) -> np.ndarray:
     top = reduce(np.add, num)
     return top / reduce(np.add, rest, top)
@@ -146,7 +123,7 @@ def sample_pairs(rng: RngState, family: FamilySpec, n: int) -> Tuple[np.ndarray,
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    shapes = _component_shapes(family)
+    shapes = family.shapes
     gen = rng.generator
     if any(0.0 < s < LOG_SPACE_SHAPE for s in shapes):
         neg_inf = np.full(n, -np.inf)
@@ -165,20 +142,11 @@ def sample_pairs(rng: RngState, family: FamilySpec, n: int) -> Tuple[np.ndarray,
     else:
         draws = [np.zeros(n) if s == 0.0 else gen.standard_gamma(s, size=n) for s in shapes]
         ratio = _linear_ratio
-    (xnum, xrest), (ynum, yrest) = _RATIO_STRUCTURE[family.variant]
-    x = ratio([draws[i] for i in xnum], [draws[i] for i in xrest])
-    y = ratio([draws[i] for i in ynum], [draws[i] for i in yrest])
-    if family.variant == families.OL_MINUS:
-        return x, 1.0 - y
-    if family.variant == families.OL_STAR:
-        return 1.0 - x, 1.0 - y
-    return x, y
-
-
-def sample_pair(rng: RngState, family: FamilySpec) -> Tuple[float, float]:
-    """One draw of (x, y) from the family."""
-    x, y = sample_pairs(rng, family, 1)
-    return float(x[0]), float(y[0])
+    coords = []
+    for num, rest, flipped in families.ratio_axes(family.variant):
+        c = ratio([draws[i] for i in num], [draws[i] for i in rest])
+        coords.append(1.0 - c if flipped else c)
+    return coords[0], coords[1]
 
 
 def estimate_moments(

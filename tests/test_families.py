@@ -1,28 +1,79 @@
 """Family specs, closed-form OL densities, and closure under complementation."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, reject
+from hypothesis import strategies as st
 from scipy import integrate
 
 from bibeta.families import (
     AN5,
     AN8,
+    INDEPENDENT,
+    OL_MINUS,
+    OL_PLUS,
+    OL_STAR,
     FamilySpec,
     NotClosedError,
     an8_embedding,
     closed_form_logpdf,
     complement,
     marginal_params,
-    ol_minus_pdf,
-    ol_plus_pdf,
-    ol_star_pdf,
+    ratio_axes,
 )
 from bibeta.sampling import RngState, estimate_moments, sample_pairs
 from bibeta.special import BetaParams, beta_pdf
 
 ALPHA_SETS_3 = [(1.0, 1.0, 1.0), (3.0, 1.0, 1.0), (10.0, 2.5, 5.0)]
+# the OL densities under test, named after the density they evaluate
+OL_DENSITIES = pytest.mark.parametrize(
+    "variant", [OL_MINUS, OL_PLUS, OL_STAR], ids=["ol_minus_pdf", "ol_plus_pdf", "ol_star_pdf"]
+)
+
+# Hand-written index tables the structure table replaced, kept as oracles.
+# Component index sets (0-indexed) of each coordinate's numerator and rest
+# of the denominator, before complementation.
+RATIO_STRUCTURE = {
+    OL_PLUS: (((0,), (2,)), ((1,), (2,))),
+    OL_MINUS: (((0,), (2,)), ((1,), (2,))),
+    OL_STAR: (((0,), (2,)), ((1,), (2,))),
+    AN5: (((0, 2), (3, 4)), ((1, 3), (2, 4))),
+    AN8: (((0, 4, 6), (2, 5, 7)), ((1, 4, 7), (3, 5, 6))),
+    INDEPENDENT: (((0,), (1,)), ((2,), (3,))),
+}
+# AN8 index permutations induced by V -> 1/V (complement x) and W -> 1/W
+# (complement y): the complemented vector is alphas[perm[i]]
+AN8_COMPLEMENT_PERMS = {
+    "x": (2, 1, 0, 3, 7, 6, 5, 4),
+    "y": (0, 3, 2, 1, 6, 7, 4, 5),
+    "both": (2, 3, 0, 1, 5, 4, 7, 6),
+}
+# nonzero AN8 slots of each OL embedding, in OL component order
+OL_EMBED_SLOTS = {OL_PLUS: (0, 1, 5), OL_MINUS: (0, 3, 7), OL_STAR: (2, 3, 4)}
+COMPLEMENTED = {"x": (True, False), "y": (False, True), "both": (True, True)}
+
+
+def ol_density(variant, alphas):
+    """The closed-form joint density of an OL variant as a scalar function of (x, y)."""
+    spec = FamilySpec(variant, alphas)
+    return lambda x, y: float(np.exp(closed_form_logpdf(spec, x, y)))
+
+
+def olkin_liu_pdf(x, y, alphas):
+    """The published OL+ density, written out independently of the package."""
+    a, b, c = alphas
+    log_norm = math.lgamma(a + b + c) - math.lgamma(a) - math.lgamma(b) - math.lgamma(c)
+    return math.exp(
+        log_norm
+        + (a - 1) * math.log(x)
+        + (b - 1) * math.log(y)
+        + (b + c - 1) * math.log(1 - x)
+        + (a + c - 1) * math.log(1 - y)
+        - (a + b + c) * math.log(1 - x * y)
+    )
 
 
 def quad_unit_square(pdf, **kwargs):
@@ -90,54 +141,67 @@ class TestOlDensities:
     def test_symmetric_point_value(self):
         # alpha=(1,1,1): 2 * eta(1-eta) style terms collapse to
         # 2 * 0.5 * 0.5 / 0.75^3 = 32/27; normalization pinned below
-        assert ol_minus_pdf(0.5, 0.5, (1, 1, 1)) == pytest.approx(32.0 / 27.0, rel=1e-12)
+        assert ol_density(OL_MINUS, (1, 1, 1))(0.5, 0.5) == pytest.approx(32.0 / 27.0, rel=1e-12)
 
     def test_plus_is_minus_with_complemented_theta(self):
         rng = np.random.default_rng(42)
+        plus = ol_density(OL_PLUS, (10, 2.5, 5))
+        minus = ol_density(OL_MINUS, (10, 2.5, 5))
         for _ in range(100):
             x, y = rng.uniform(0.01, 0.99, size=2)
-            assert ol_plus_pdf(x, y, (10, 2.5, 5)) == ol_minus_pdf(x, 1.0 - y, (10, 2.5, 5))
+            assert plus(x, y) == minus(x, 1.0 - y)
 
     def test_star_is_plus_of_complemented_pair(self):
         rng = np.random.default_rng(43)
+        star = ol_density(OL_STAR, (3, 1, 1))
+        plus = ol_density(OL_PLUS, (3, 1, 1))
+        minus = ol_density(OL_MINUS, (3, 1, 1))
         for _ in range(100):
             x, y = rng.uniform(0.01, 0.99, size=2)
-            assert ol_star_pdf(x, y, (3, 1, 1)) == ol_plus_pdf(1.0 - x, 1.0 - y, (3, 1, 1))
+            assert star(x, y) == minus(1.0 - x, y)
+            # 1 - (1 - y) rounds away from y, so OL+ agrees to rounding only
+            assert star(x, y) == pytest.approx(plus(1.0 - x, 1.0 - y), rel=1e-12)
 
     @pytest.mark.parametrize("alphas", ALPHA_SETS_3)
-    @pytest.mark.parametrize("pdf", [ol_minus_pdf, ol_plus_pdf, ol_star_pdf])
-    def test_normalization(self, pdf, alphas):
-        val = quad_unit_square(lambda x, y: pdf(x, y, alphas))
+    @OL_DENSITIES
+    def test_normalization(self, variant, alphas):
+        val = quad_unit_square(ol_density(variant, alphas))
         assert val == pytest.approx(1.0, abs=1e-6)
 
     def test_minus_marginal_is_beta(self):
         """Integrating theta out of the joint recovers the B(10, 5) marginal."""
-        alphas = (10.0, 2.5, 5.0)
+        pdf = ol_density(OL_MINUS, (10.0, 2.5, 5.0))
         for eta in (0.2, 0.5, 0.8):
-            val, _ = integrate.quad(lambda t: ol_minus_pdf(eta, t, alphas), 0.0, 1.0, limit=200)
+            val, _ = integrate.quad(lambda t: pdf(eta, t), 0.0, 1.0, limit=200)
             assert val == pytest.approx(beta_pdf(eta, BetaParams(10, 5)), abs=1e-4)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            ol_minus_pdf(0.0, 0.5, (1, 1, 1))
-        with pytest.raises(ValueError):
-            ol_minus_pdf(0.5, 1.0, (1, 1, 1))
-        with pytest.raises(ValueError):
-            ol_minus_pdf(0.5, 0.5, (1, 1))
-        with pytest.raises(ValueError):
-            ol_minus_pdf(0.5, 0.5, (1, 0, 1))
+        """Alpha vectors are validated where the density's family is built."""
+        for alphas in ((1, 1), (1, 0, 1), (1, -1, 1), (1, math.inf, 1), (1, math.nan, 1)):
+            with pytest.raises(ValueError):
+                FamilySpec(OL_MINUS, alphas)
 
     def test_closed_form_logpdf_matches_scalar_api(self):
+        """Vectorized and per-point evaluation agree with the published OL formula."""
         x = np.array([0.2, 0.6])
         y = np.array([0.3, 0.9])
         spec = FamilySpec.ol_star(3, 1, 1)
         vec = np.exp(closed_form_logpdf(spec, x, y))
         for i in range(2):
-            assert vec[i] == pytest.approx(ol_star_pdf(x[i], y[i], (3, 1, 1)), rel=1e-14)
+            scalar = np.exp(closed_form_logpdf(spec, float(x[i]), float(y[i])))
+            assert vec[i] == pytest.approx(scalar, rel=1e-14)
+            assert vec[i] == pytest.approx(olkin_liu_pdf(1 - x[i], 1 - y[i], (3, 1, 1)), rel=1e-12)
 
     def test_closed_form_logpdf_rejects_an5(self):
         with pytest.raises(ValueError):
             closed_form_logpdf(FamilySpec.an5(1, 1, 1, 1, 1), 0.5, 0.5)
+
+    @pytest.mark.parametrize("alphas", ALPHA_SETS_3)
+    def test_plus_matches_published_formula(self, alphas):
+        rng = np.random.default_rng(44)
+        plus = ol_density(OL_PLUS, alphas)
+        for x, y in rng.uniform(0.01, 0.99, size=(50, 2)):
+            assert plus(x, y) == pytest.approx(olkin_liu_pdf(x, y, alphas), rel=1e-12)
 
 
 def law_distance_ok(x1, y1, x2, y2, n):
@@ -238,3 +302,81 @@ class TestComplement:
         assert base > 0 and comp < 0 and both > 0
         assert abs(base + comp) < 0.01
         assert abs(base - both) < 0.01
+
+
+POSITIVE = st.floats(min_value=1e-3, max_value=50.0)
+DYADIC = st.integers(min_value=1, max_value=3200).map(lambda k: k / 64)
+
+
+@st.composite
+def an8_specs(draw, positive):
+    """AN8 specs with zeros allowed, often on an OL embedding's support."""
+    support = draw(st.sampled_from([None, *OL_EMBED_SLOTS.values(), (1, 2, 6)]))
+    if support is None:
+        alphas = draw(st.tuples(*[st.one_of(st.just(0.0), positive, positive)] * 8))
+    else:
+        alphas = [draw(positive) if i in support else 0.0 for i in range(8)]
+    try:
+        return FamilySpec.an8(*alphas)
+    except ValueError:  # some marginal shape sums to zero
+        reject()
+
+
+@st.composite
+def closed_specs(draw, positive):
+    """Specs of the families closed under complementation: OL, AN8 and indep."""
+    variant = draw(st.sampled_from([OL_PLUS, OL_MINUS, OL_STAR, AN8, INDEPENDENT]))
+    if variant == AN8:
+        return draw(an8_specs(positive))
+    if variant == INDEPENDENT:
+        a, b, c, d = draw(st.tuples(*[positive] * 4))
+        return FamilySpec.independent(BetaParams(a, b), BetaParams(c, d))
+    return FamilySpec(variant, draw(st.tuples(*[positive] * 3)))
+
+
+def swapped_marginals(spec, which):
+    return tuple(
+        p.swapped() if flipped else p
+        for p, flipped in zip(marginal_params(spec), COMPLEMENTED[which])
+    )
+
+
+class TestStructureTable:
+    """The structure table reproduces the hand-written index tables it replaced."""
+
+    @pytest.mark.parametrize("variant", sorted(RATIO_STRUCTURE))
+    def test_ratio_axes_match_index_sets(self, variant):
+        (xnum, xrest, _), (ynum, yrest, _) = ratio_axes(variant)
+        assert ((xnum, xrest), (ynum, yrest)) == RATIO_STRUCTURE[variant]
+
+    @pytest.mark.parametrize("variant", sorted(OL_EMBED_SLOTS))
+    def test_an8_embedding_slots(self, variant):
+        alphas = (2.0, 3.0, 1.5)
+        expected = [0.0] * 8
+        for slot, a in zip(OL_EMBED_SLOTS[variant], alphas):
+            expected[slot] = a
+        assert an8_embedding(FamilySpec(variant, alphas)) == FamilySpec.an8(*expected)
+
+    @given(st.data(), st.sampled_from(sorted(COMPLEMENTED)))
+    def test_an8_complement_permutes_alphas(self, data, which):
+        """Complementing permutes the AN8 vector; twice is the identity in law."""
+        spec = data.draw(an8_specs(POSITIVE))
+        flipped = complement(spec, which)
+        perm = AN8_COMPLEMENT_PERMS[which]
+        assert an8_embedding(flipped).alphas == tuple(spec.alphas[i] for i in perm)
+        assert an8_embedding(complement(flipped, which)) == spec
+
+    @given(st.data(), st.sampled_from(sorted(COMPLEMENTED)))
+    def test_complement_swaps_marginals_exactly(self, data, which):
+        """Shapes on a 1/64 grid keep every marginal sum exact in any order."""
+        spec = data.draw(closed_specs(DYADIC))
+        assert marginal_params(complement(spec, which)) == swapped_marginals(spec, which)
+
+    @given(st.data(), st.sampled_from(sorted(COMPLEMENTED)))
+    def test_complement_swaps_marginals(self, data, which):
+        """General shapes: AN8 sums shapes in index order, and complementing
+        reorders a sum's terms, so agreement is to rounding."""
+        spec = data.draw(closed_specs(POSITIVE))
+        got = marginal_params(complement(spec, which))
+        for p, q in zip(got, swapped_marginals(spec, which)):
+            assert (p.a, p.b) == (pytest.approx(q.a, rel=1e-15), pytest.approx(q.b, rel=1e-15))

@@ -121,14 +121,12 @@ class TestEstimatedGrids:
 
         from scipy import integrate
 
-        from bibeta.families import ol_plus_pdf
-
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", integrate.IntegrationWarning)
             for i in (m - 2, m - 1):
                 for j in (m - 2, m - 1):
                     mass, _ = integrate.dblquad(
-                        lambda yy, xx: ol_plus_pdf(xx, yy, (3, 3, 1)),
+                        lambda yy, xx: np.exp(closed_form_logpdf(spec, xx, yy)),
                         i / m, min((i + 1) / m, 1.0 - 1e-12),
                         j / m, min((j + 1) / m, 1.0 - 1e-12),
                     )

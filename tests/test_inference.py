@@ -188,6 +188,18 @@ class TestJointPosterior:
         gp = joint_posterior(d, AN5_PRIOR, m=100, rng=RngState(73), prior_samples=10_000)
         assert abs(gp.weights.sum() - 1.0) < 1e-12
 
+    def test_estimated_prior_grid_is_cached_read_only(self):
+        import bibeta.inference as inference
+
+        d = DiagnosticData(50, 20, 15, 25)
+        rng = RngState(74)
+        joint_posterior(d, AN5_PRIOR, m=20, rng=rng, prior_samples=10_000)
+        hits = inference._estimated_log_prior_grid.cache_info().hits
+        joint_posterior(d, AN5_PRIOR, m=20, rng=rng, prior_samples=10_000)
+        assert inference._estimated_log_prior_grid.cache_info().hits == hits + 1
+        grid = inference._log_prior_grid(AN5_PRIOR.eta_theta_prior, 20, rng, 10_000)
+        assert not grid.flags.writeable
+
     def test_degenerate_posterior_guard(self, monkeypatch):
         import bibeta.inference as inference
 

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from bibeta.special import BetaParams, beta2_pdf, beta_pdf, log_gamma, std_normal_cdf
+from bibeta.families import FamilySpec
+from bibeta.special import BetaParams, beta2_pdf, beta_pdf, log_beta, std_normal_cdf
 
 # ln Gamma(10.1) to 25 significant digits, frozen from a high-precision
 # evaluation made before this implementation existed
@@ -41,14 +42,23 @@ def stirling_log_gamma(x: float) -> float:
 
 
 class TestLogGamma:
+    """ln Gamma oracles, checked through log_beta = ln G(a) + ln G(b) - ln G(a+b)."""
+
     def test_gamma_of_one(self):
-        assert log_gamma(1.0) == 0.0
+        assert log_beta(1.0, 1.0) == 0.0
+        # B(x, 1) = 1/x; at 1e4 the sum cancels ln Gamma values of ~8e4
+        for x in (0.3, 1.0, 2.5, 10.1):
+            assert log_beta(x, 1.0) == pytest.approx(-math.log(x), rel=1e-14, abs=1e-15)
+        assert log_beta(1e4, 1.0) == pytest.approx(-math.log(1e4), abs=1e-10)
 
     def test_gamma_of_half(self):
-        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), abs=1e-14)
+        # B(1/2, 1/2) = Gamma(1/2)^2 = pi
+        assert log_beta(0.5, 0.5) == pytest.approx(math.log(math.pi), abs=1e-14)
 
     def test_frozen_high_precision_value(self):
-        assert log_gamma(10.1) == pytest.approx(LOG_GAMMA_10_1, abs=1e-12)
+        # ln B(10.1, 1/2) = ln Gamma(10.1) + ln sqrt(pi) - ln Gamma(10.6)
+        expected = LOG_GAMMA_10_1 + 0.5 * math.log(math.pi) - stirling_log_gamma(10.6)
+        assert log_beta(10.1, 0.5) == pytest.approx(expected, abs=1e-12)
 
     def test_against_stirling_oracle(self):
         """Absolute error <= 1e-10 up to x = 1e4; relative <= 1e-13 beyond.
@@ -56,20 +66,30 @@ class TestLogGamma:
         Above ~1e4 the magnitude of ln Gamma makes 1e-10 absolute finer than
         one float64 ULP of the result, so only a relative bound is meaningful.
         """
-        for x in [1e-3, 0.01, 0.1, 0.3, 0.9999, 1.5, 2.0, 5.0, 10.1, 47.3, 123.0, 999.5, 1e4]:
-            assert log_gamma(x) == pytest.approx(stirling_log_gamma(x), abs=1e-10)
-        for x in [3.1e4, 1e5, 1e6]:
-            assert log_gamma(x) == pytest.approx(stirling_log_gamma(x), rel=1e-13)
 
-    @given(st.floats(min_value=0.1, max_value=50.0))
-    def test_recurrence(self, x):
-        """Gamma(x+1) = x Gamma(x), within 1e-9 relative on the exp scale."""
-        assert log_gamma(x + 1.0) - log_gamma(x) == pytest.approx(math.log(x), rel=1e-9, abs=1e-9)
+        def oracle(a, b):
+            return stirling_log_gamma(a) + stirling_log_gamma(b) - stirling_log_gamma(a + b)
+
+        for x in [1e-3, 0.01, 0.1, 0.3, 0.9999, 1.5, 2.0, 5.0, 10.1, 47.3, 123.0, 999.5, 1e4]:
+            for y in (x, 1.5):
+                assert log_beta(x, y) == pytest.approx(oracle(x, y), abs=1e-10)
+        for x in [3.1e4, 1e5, 1e6]:
+            assert log_beta(x, x) == pytest.approx(oracle(x, x), rel=1e-13)
+
+    @given(st.floats(min_value=0.1, max_value=50.0), st.floats(min_value=0.1, max_value=50.0))
+    def test_recurrence(self, x, y):
+        """Gamma(x+1) = x Gamma(x), so B(x+1, y) = B(x, y) x / (x+y)."""
+        assert log_beta(x + 1.0, y) - log_beta(x, y) == pytest.approx(
+            math.log(x) - math.log(x + y), rel=1e-9, abs=1e-9
+        )
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5])
     def test_domain(self, bad):
+        """Shapes are validated where they enter: beta parameters and family alphas."""
         with pytest.raises(ValueError):
-            log_gamma(bad)
+            BetaParams(bad, 1.0)
+        with pytest.raises(ValueError):
+            FamilySpec.ol_plus(bad, 1.0, 1.0)
 
 
 class TestBetaParams:
