@@ -39,7 +39,6 @@ from .survivability import (
     Exchangeable,
     HierIndependent,
     Interdependent,
-    MonteCarloSettings,
     SurvivabilityReport,
     SurvivabilityScenario,
     reproduce_table,
@@ -89,7 +88,6 @@ __all__ = [
     "Exchangeable",
     "HierIndependent",
     "Interdependent",
-    "MonteCarloSettings",
     "SurvivabilityReport",
     "survivability",
     "reproduce_table",

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import List, NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -28,13 +28,20 @@ from .inference import (
 )
 from .sampling import RngState, estimate_moments, sample_pairs
 from .special import BetaParams
-from .survivability import MonteCarloSettings, reproduce_table, table_csv
+from .survivability import reproduce_table, table_csv
 from .synth import SynthConfig, generate, true_params
 from .serialize import csv_text, json_text, write_text
 
 
 class CliError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as CliError, so they follow the JSON error contract."""
+
+    def error(self, message: str) -> NoReturn:
+        raise CliError(message)
 
 
 def _parse_floats(text: str, what: str) -> List[float]:
@@ -167,11 +174,7 @@ def _cmd_posterior(args: argparse.Namespace) -> None:
 
 
 def _cmd_tables(args: argparse.Namespace) -> None:
-    mc = None
-    if args.table in (5, 6):
-        mc = MonteCarloSettings(args.mc_samples, RngState(args.seed, args.stream))
-    rows = reproduce_table(args.table, mc)
-    _emit(table_csv(rows), args.out)
+    _emit(table_csv(reproduce_table(args.table)), args.out)
 
 
 def _cmd_closure_check(args: argparse.Namespace) -> None:
@@ -234,7 +237,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bibeta",
         description="Bivariate beta families, screening-test inference, survivability tables",
     )
@@ -272,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tables", help="reproduce a published survivability table")
     p.add_argument("--table", type=int, choices=[4, 5, 6], required=True)
-    p.add_argument("--mc-samples", type=int, default=1_000_000)
     _add_common(p)
     p.set_defaults(func=_cmd_tables)
 

@@ -9,23 +9,22 @@ mission, i.e. component reliability averaged over parameter uncertainty:
                     E(theta_1) E(theta_2) -- the only architecture where
                     the conventional answer is justified
   interdependent    (theta_1, theta_2) jointly from a bivariate family;
-                    E(theta_1 theta_2) = rho sqrt(V1 V2) + E1 E2 with rho
-                    estimated by Monte Carlo and E, V analytic
+                    E(theta_1 theta_2) by quadrature of its Laplace-transform
+                    integral (families.product_moment), E and V analytic
 
 A parallel redundant system survives unless both components fail:
 1 - E((1-theta_1)(1-theta_2)) = 1 - [1 - E1 - E2 + E(theta_1 theta_2)],
-reusing the same product-moment mechanisms.  Failed components are neither
-repaired nor replaced; the mission time is fixed.
+so every architecture reduces to (E1, E2, E(theta_1 theta_2)).  Failed
+components are neither repaired nor replaced; the mission time is fixed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
-from .families import FamilySpec, marginal_params
-from .sampling import MomentEstimate, RngState, estimate_moments
+from .families import FamilySpec, marginal_params, product_moment
 from .special import BetaParams
 from .serialize import csv_text
 
@@ -63,18 +62,12 @@ class SurvivabilityScenario:
 
 
 @dataclass(frozen=True)
-class MonteCarloSettings:
-    n_samples: int
-    rng: RngState
-
-
-@dataclass(frozen=True)
 class SurvivabilityReport:
     """One assessed scenario: per-component moments, dependence, system answer.
 
-    ``correlation`` is the Monte Carlo correlation between the two
-    propensities where one is estimated; the analytic architectures do not
-    use it and report 0.
+    ``correlation`` is the exact correlation between the two propensities of
+    the interdependent architecture and ``corr_std_error`` its quadrature
+    error; the analytic architectures do not use them and report 0.
     """
 
     component_survivability: Tuple[float, float]
@@ -85,49 +78,26 @@ class SurvivabilityReport:
     corr_std_error: float = 0.0
 
 
-def _joint_second_moment(e1: float, e2: float, v1: float, v2: float, rho: float) -> float:
-    return rho * math.sqrt(v1 * v2) + e1 * e2
-
-
-def _system(e1: float, e2: float, e12: float, system: str) -> float:
-    if system == SERIES:
-        return e12
-    return 1.0 - (1.0 - e1 - e2 + e12)
-
-
-def survivability(
-    s: SurvivabilityScenario, mc: Optional[MonteCarloSettings] = None
-) -> SurvivabilityReport:
-    """Assess one scenario; mc is required exactly for the interdependent case."""
+def survivability(s: SurvivabilityScenario) -> SurvivabilityReport:
+    """Assess one scenario from its marginals p1, p2 and product moment E12."""
     arch = s.architecture
+    corr, corr_err, method = 0.0, 0.0, "analytic"
     if isinstance(arch, Exchangeable):
-        p = arch.prior
-        e, v = p.mean, p.variance
-        # E(theta^2) for series; the parallel complement is E((1-theta)^2)
-        # with (1-theta) ~ B(b, a)
-        if s.system == SERIES:
-            surv = p.raw_moment(2)
-        else:
-            surv = 1.0 - p.swapped().raw_moment(2)
-        return SurvivabilityReport((e, e), (v, v), 0.0, surv, "analytic")
-    if isinstance(arch, HierIndependent):
+        p1 = p2 = arch.prior
+        e12 = p1.raw_moment(2)
+    elif isinstance(arch, HierIndependent):
         p1, p2 = arch.prior_x, arch.prior_y
-        e1, e2 = p1.mean, p2.mean
-        surv = _system(e1, e2, e1 * e2, s.system)
-        return SurvivabilityReport((e1, e2), (p1.variance, p2.variance), 0.0, surv, "analytic")
-    if isinstance(arch, Interdependent):
-        if mc is None:
-            raise ValueError("the interdependent architecture requires Monte Carlo settings")
-        m1, m2 = marginal_params(arch.family)
-        est: MomentEstimate = estimate_moments(arch.family, mc.n_samples, mc.rng)
-        e1, e2 = m1.mean, m2.mean
-        v1, v2 = m1.variance, m2.variance
-        e12 = _joint_second_moment(e1, e2, v1, v2, est.correlation)
-        surv = _system(e1, e2, e12, s.system)
-        return SurvivabilityReport(
-            (e1, e2), (v1, v2), est.correlation, surv, "monte_carlo", est.std_error_corr
-        )
-    raise TypeError(f"unknown architecture {arch!r}")
+        e12 = p1.mean * p2.mean
+    elif isinstance(arch, Interdependent):
+        p1, p2 = marginal_params(arch.family)
+        e12, err = product_moment(arch.family)
+        sd = math.sqrt(p1.variance * p2.variance)
+        corr, corr_err, method = (e12 - p1.mean * p2.mean) / sd, err / sd, "quadrature"
+    else:
+        raise TypeError(f"unknown architecture {arch!r}")
+    e1, e2 = p1.mean, p2.mean
+    surv = e12 if s.system == SERIES else 1.0 - (1.0 - e1 - e2 + e12)
+    return SurvivabilityReport((e1, e2), (p1.variance, p2.variance), corr, surv, method, corr_err)
 
 
 # ---------------------------------------------------------------------------
@@ -157,36 +127,27 @@ class TableRow:
     report: SurvivabilityReport
 
 
-def reproduce_table(
-    table: Union[int, str], mc: Optional[MonteCarloSettings] = None
-) -> List[TableRow]:
+def reproduce_table(table: Union[int, str]) -> List[TableRow]:
     """Recompute one of the three published survivability tables.
 
-    Table 4 is purely analytic.  Tables 5 and 6 re-estimate the correlation
-    by Monte Carlo instead of copying the externally tabulated values, then
-    apply the product-moment identity; they require mc.
+    Table 4 is purely analytic.  Tables 5 and 6 compute the product moment
+    and correlation by quadrature instead of copying the externally
+    tabulated values; every table is deterministic.
     """
     name = str(table).lower().removeprefix("table")
     if name == "4":
-        rows = []
-        for a, b in TABLE4_PARAMS:
-            scenario = SurvivabilityScenario(Exchangeable(BetaParams(a, b)), SERIES)
-            rows.append(TableRow(f"B({a:g},{b:g})", survivability(scenario)))
-        return rows
-    if name not in ("5", "6"):
-        raise ValueError(f"unknown table {table!r}; expected 4, 5 or 6")
-    if mc is None:
-        raise ValueError("tables 5 and 6 require Monte Carlo settings")
-    rows = []
-    if name == "5":
-        specs = [FamilySpec.ol_plus(a, a, b) for a, b in TABLE5_MARGINALS]
+        archs = [Exchangeable(BetaParams(a, b)) for a, b in TABLE4_PARAMS]
+    elif name == "5":
+        archs = [Interdependent(FamilySpec.ol_plus(a, a, b)) for a, b in TABLE5_MARGINALS]
+    elif name == "6":
+        archs = [Interdependent(FamilySpec.an5(*alphas)) for alphas in TABLE6_ALPHAS]
     else:
-        specs = [FamilySpec.an5(*alphas) for alphas in TABLE6_ALPHAS]
-    for spec in specs:
-        scenario = SurvivabilityScenario(Interdependent(spec), SERIES)
-        m1, m2 = marginal_params(spec)
+        raise ValueError(f"unknown table {table!r}; expected 4, 5 or 6")
+    rows = []
+    for arch in archs:
+        m1, m2 = (arch.prior, arch.prior) if name == "4" else marginal_params(arch.family)
         label = str(m1) if str(m1) == str(m2) else f"{m1}|{m2}"
-        rows.append(TableRow(label, survivability(scenario, mc)))
+        rows.append(TableRow(label, survivability(SurvivabilityScenario(arch, SERIES))))
     return rows
 
 

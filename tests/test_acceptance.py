@@ -39,7 +39,6 @@ from bibeta.survivability import (
     SERIES,
     Exchangeable,
     HierIndependent,
-    MonteCarloSettings,
     SurvivabilityScenario,
     reproduce_table,
     survivability,
@@ -96,17 +95,17 @@ def test_criterion_1_table4_analytic(record_criterion):
 
 
 def test_criterion_2_tables_5_and_6_monte_carlo(record_criterion):
-    """Tables 5/6 at n=10^6: rho within 0.02 of print, survivability within 0.01.
+    """Tables 5/6: rho within 0.02 of print, survivability within 0.01.
 
-    The rho checks for Table 5 rows B(3,1) and B(3,0.3) fail: the unique OL
+    Correlations and product moments are computed exactly (quadrature).  The
+    rho checks for Table 5 rows B(3,1) and B(3,0.3) fail: the unique OL
     parameterizations with those marginals have exact correlations 0.6835
-    and 0.7777 (quadrature-verified), not the printed 0.861 / 0.859.
+    and 0.7777, not the printed 0.861 / 0.859.
     """
     failures = []
-    n = 1_000_000
 
     t0 = time.perf_counter()
-    rows5 = reproduce_table(5, MonteCarloSettings(n, RngState(SEED + 2)))
+    rows5 = reproduce_table(5)
     t5 = time.perf_counter() - t0
     for row, rho_pub, s_pub in zip(rows5, TABLE5_PUBLISHED_RHO, TABLE5_PUBLISHED_SURV):
         check(
@@ -122,7 +121,7 @@ def test_criterion_2_tables_5_and_6_monte_carlo(record_criterion):
     check(failures, t5 < 30.0, f"table5 runtime {t5:.1f}s >= 30s")
 
     t0 = time.perf_counter()
-    rows6 = reproduce_table(6, MonteCarloSettings(n, RngState(SEED + 3)))
+    rows6 = reproduce_table(6)
     t6 = time.perf_counter() - t0
     for row, rho_pub, s_pub in zip(rows6, TABLE6_PUBLISHED_RHO, TABLE6_PUBLISHED_SURV):
         check(
@@ -137,7 +136,7 @@ def test_criterion_2_tables_5_and_6_monte_carlo(record_criterion):
         )
     check(failures, t6 < 30.0, f"table6 runtime {t6:.1f}s >= 30s")
 
-    record_criterion(2, "Table 5/6 Monte Carlo reproduction", failures)
+    record_criterion(2, "Table 5/6 reproduction", failures)
     assert not failures, "; ".join(failures)
 
 

@@ -164,16 +164,25 @@ class TestTables:
         assert surv == [0.333, 0.600, 0.835, 0.846, 0.866]
 
     def test_seeded_reruns_identical(self, capsys):
-        args = ("tables", "--table", "6", "--mc-samples", "100000", "--seed", "1")
+        args = ("tables", "--table", "6", "--seed", "1")
         rc1, out1, _ = run(capsys, *args)
         rc2, out2, _ = run(capsys, *args)
         assert rc1 == rc2 == 0
         assert out1 == out2
 
+    def test_table_bytes_ignore_seed(self, capsys):
+        """Tables 5 and 6 are exact, so the seed does not enter them."""
+        for table in ("5", "6"):
+            outs = {run(capsys, "tables", "--table", table, "--seed", seed)[1] for seed in ("1", "2")}
+            assert len(outs) == 1
+
+    def test_mc_samples_flag_removed(self, capsys):
+        rc, _, err = run(capsys, "tables", "--table", "5", "--mc-samples", "1000")
+        assert rc == 2
+        assert "--mc-samples" in json.loads(err.strip())["error"]
+
     def test_table6_first_row_survivability(self, capsys):
-        rc, out, _ = run(
-            capsys, "tables", "--table", "6", "--mc-samples", "1000000", "--seed", "1"
-        )
+        rc, out, _ = run(capsys, "tables", "--table", "6", "--seed", "1")
         assert rc == 0
         _, rows = parse_csv_with_labels(out)
         assert rows[0]["distribution"] == "B(10.1,10.1)"
@@ -247,3 +256,36 @@ class TestConfigFile:
         rc, out, _ = run(capsys, "sample", "--config", str(cfg))
         assert rc == 0
         assert len(out.strip().split("\n")) == 5
+
+
+class TestUsageErrors:
+    """argparse usage errors follow the JSON error contract: rc 2, one JSON line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sample", "--n", "abc"),
+            ("sample", "--family", "not-a-family"),
+            ("sample", "--family", "ol-plus", "--alphas", "1,1,1", "--no-such-flag"),
+        ],
+        ids=["bad_int", "bad_choice", "unknown_flag"],
+    )
+    def test_usage_error_is_json(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert len(err.strip().split("\n")) == 1
+        assert json.loads(err)["error"]
+
+    def test_bad_config_value_is_json(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "ol-plus", "alphas": "1,1,1", "n": "abc"}))
+        rc, _, err = run(capsys, "sample", "--config", str(cfg))
+        assert rc == 2
+        assert "--n" in json.loads(err.strip())["error"]
+
+    def test_version_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("bibeta ")

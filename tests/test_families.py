@@ -2,10 +2,11 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, reject
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -22,6 +23,7 @@ from bibeta.families import (
     closed_form_logpdf,
     complement,
     marginal_params,
+    product_moment,
     ratio_axes,
 )
 from bibeta.sampling import RngState, estimate_moments, sample_pairs
@@ -380,3 +382,90 @@ class TestStructureTable:
         got = marginal_params(complement(spec, which))
         for p, q in zip(got, swapped_marginals(spec, which)):
             assert (p.a, p.b) == (pytest.approx(q.a, rel=1e-15), pytest.approx(q.b, rel=1e-15))
+
+
+MOMENT_SHAPES = st.floats(min_value=0.05, max_value=20.0)
+# exact correlations: OL+ Table 5 rows to 7 decimals, OL- and AN5 to 5
+EXACT_CORRELATIONS = [
+    (FamilySpec.ol_plus(1, 1, 1), 0.4784176, 5e-8),
+    (FamilySpec.ol_plus(3, 3, 1), 0.6835209, 5e-8),
+    (FamilySpec.ol_plus(3, 3, 0.3), 0.7777067, 5e-8),
+    (FamilySpec.ol_plus(1, 1, 0.1), 0.6806631, 5e-8),  # slow decay at (1, 1)
+    (FamilySpec.ol_minus(10, 2.5, 5), -0.46478, 5e-6),
+    (FamilySpec.an5(5, 5, 5, 5, 1e-4), -0.65012, 5e-6),
+    (FamilySpec.an5(10, 10, 0.1, 0.1, 10), 0.48485, 5e-6),
+    (FamilySpec.an5(10, 10, 0.1, 0.1, 1), 0.75582, 5e-6),
+    (FamilySpec.an5(5, 10, 0.1, 0.1, 0.5), 0.67616, 5e-6),
+]
+
+
+def correlation(spec, e_xy):
+    px, py = marginal_params(spec)
+    return (e_xy - px.mean * py.mean) / math.sqrt(px.variance * py.variance)
+
+
+@st.composite
+def moment_specs(draw):
+    """Every variant: OL, AN8 with zeros and indep, or AN5."""
+    if draw(st.booleans()):
+        return draw(closed_specs(MOMENT_SHAPES))
+    return FamilySpec.an5(*draw(st.tuples(*[MOMENT_SHAPES] * 5)))
+
+
+class TestProductMoment:
+    @settings(max_examples=40, deadline=None)
+    @given(moment_specs(), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_agrees_with_sample_mean(self, spec, seed):
+        """The CLT error of a sample mean of xy is exact, unlike a correlation's."""
+        n = 20_000
+        x, y = sample_pairs(RngState(seed), spec, n)
+        e_xy, err = product_moment(spec)
+        assert abs(e_xy - (x * y).mean()) <= 4 * (x * y).std() / math.sqrt(n) + err
+
+    @settings(deadline=None)
+    @given(st.tuples(*[MOMENT_SHAPES] * 4))
+    def test_independent_is_product_of_means(self, shapes):
+        """Against E1 E2 in exact rational arithmetic, so the error covers rounding too."""
+        a, b, c, d = map(Fraction, shapes)
+        spec = FamilySpec.independent(BetaParams(*shapes[:2]), BetaParams(*shapes[2:]))
+        e_xy, err = product_moment(spec)
+        assert 0 < err
+        assert abs(Fraction(e_xy) - a / (a + b) * c / (c + d)) <= err
+
+    @settings(max_examples=40, deadline=None)
+    @given(closed_specs(MOMENT_SHAPES))
+    def test_complement_y_is_mean_minus_product(self, spec):
+        """E[X(1-Y)] = E[X] - E[XY], with the complemented law's own quadrature."""
+        e_xy, err = product_moment(spec)
+        e_comp, err_comp = product_moment(complement(spec, "y"))
+        assert abs(e_comp - (marginal_params(spec)[0].mean - e_xy)) <= err + err_comp
+
+    @pytest.mark.parametrize(
+        "spec, rho, tol", EXACT_CORRELATIONS, ids=[s.label() for s, _, _ in EXACT_CORRELATIONS]
+    )
+    def test_exact_correlations(self, spec, rho, tol):
+        e_xy, err = product_moment(spec)
+        assert abs(correlation(spec, e_xy) - rho) <= tol
+        assert 0 < err <= 1e-9
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FamilySpec.ol_plus(1e-4, 1e-4, 1e-4),
+            FamilySpec.an5(1e-4, 1e-4, 1e-4, 1e-4, 1e-4),
+            FamilySpec.an8(*[1e-4] * 8),
+            FamilySpec.independent(BetaParams(1e-4, 1e-4), BetaParams(1e-4, 2e-4)),
+            FamilySpec.ol_plus(1e-5, 1e-5, 1e-5),
+        ],
+        ids=lambda spec: spec.label(),
+    )
+    def test_tiny_shapes_converge_or_raise(self, spec):
+        """At shapes of 1e-4 the answer agrees with Monte Carlo or is refused by name."""
+        try:
+            e_xy, err = product_moment(spec)
+        except ValueError as exc:
+            assert spec.label() in str(exc)
+            return
+        n = 200_000
+        x, y = sample_pairs(RngState(140), spec, n)
+        assert abs(e_xy - (x * y).mean()) <= 4 * (x * y).std() / math.sqrt(n) + err

@@ -200,12 +200,25 @@ class TestEstimateMoments:
         assert est.var_y == pytest.approx(BetaParams(5, 2.5).variance, rel=0.02)
 
     def test_standard_error_formula(self):
-        est = estimate_moments(FamilySpec.ol_plus(1, 1, 1), 10_000, RngState(54))
+        """The influence-function standard error, recomputed from the same draws."""
+        n = 10_000
+        est = estimate_moments(FamilySpec.ol_plus(1, 1, 1), n, RngState(54))
+        x, y = sample_pairs(RngState(54), FamilySpec.ol_plus(1, 1, 1), n)
+        zx = (x - x.mean()) / x.std(ddof=1)
+        zy = (y - y.mean()) / y.std(ddof=1)
+        r = est.correlation
         assert est.std_error_corr == pytest.approx(
-            (1 - est.correlation**2) / math.sqrt(10_000), rel=1e-12
+            np.std(zx * zy - r / 2 * (zx**2 + zy**2)) / math.sqrt(n), rel=1e-12
         )
         assert isinstance(est, MomentEstimate)
         assert abs(est.correlation) <= 1.0
+
+    def test_standard_error_matches_seed_to_seed_spread(self):
+        """Slow-decay OL+(1,1,0.1): the normal-theory (1 - r^2)/sqrt(n) is 0.57x the spread."""
+        ests = [estimate_moments(FamilySpec.ol_plus(1, 1, 0.1), 20_000, RngState(5500 + k)) for k in range(120)]
+        spread = np.std([e.correlation for e in ests], ddof=1)
+        ratio = np.mean([e.std_error_corr for e in ests]) / spread
+        assert 0.8 <= ratio <= 1.25
 
     def test_requires_rng_and_two_samples(self):
         with pytest.raises(ValueError):

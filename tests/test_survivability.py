@@ -16,7 +16,6 @@ from bibeta.survivability import (
     Exchangeable,
     HierIndependent,
     Interdependent,
-    MonteCarloSettings,
     SurvivabilityScenario,
     reproduce_table,
     survivability,
@@ -25,9 +24,11 @@ from bibeta.survivability import (
 
 shape_floats = st.floats(min_value=0.1, max_value=20.0)
 
-
-def mc(seed, n=200_000):
-    return MonteCarloSettings(n, RngState(seed))
+# Table 5 (OL+) correlations of perfbench/reference.json; the B(1,0.1) value
+# there is itself about 3e-8 off the exact 0.68066309
+TABLE5_RHO = (0.4784176049211881, 0.6835208714868557, 0.7777067378617297, 0.6806631267111133)
+# Table 6 (AN5) correlations, quoted to 5 decimals
+TABLE6_RHO = (0.48485, 0.75582, 0.67616)
 
 
 class TestExchangeable:
@@ -84,24 +85,25 @@ class TestHierIndependent:
 
 class TestInterdependent:
     def test_requires_monte_carlo_settings(self):
+        """No settings any more: the answer is deterministic, and passing some is an error."""
         scenario = SurvivabilityScenario(Interdependent(FamilySpec.ol_plus(1, 1, 1)), SERIES)
-        with pytest.raises(ValueError):
-            survivability(scenario)
+        assert survivability(scenario) == survivability(scenario)
+        with pytest.raises(TypeError):
+            survivability(scenario, (200_000, RngState(1)))
 
     def test_an5_survivability_prior(self):
         scenario = SurvivabilityScenario(
             Interdependent(FamilySpec.an5(10, 10, 0.1, 0.1, 10)), SERIES
         )
-        rep = survivability(scenario, mc(81, 1_000_000))
+        rep = survivability(scenario)
         assert rep.system_survivability == pytest.approx(0.255, abs=0.005)
-        assert rep.method == "monte_carlo"
+        assert rep.method == "quadrature"
         assert rep.corr_std_error > 0
 
     def test_zero_correlation_family_matches_hier_independent(self):
         p1, p2 = BetaParams(3, 1), BetaParams(2, 2)
         inter = survivability(
-            SurvivabilityScenario(Interdependent(FamilySpec.independent(p1, p2)), SERIES),
-            mc(82, 400_000),
+            SurvivabilityScenario(Interdependent(FamilySpec.independent(p1, p2)), SERIES)
         )
         hier = survivability(SurvivabilityScenario(HierIndependent(p1, p2), SERIES))
         tol = 4 * inter.corr_std_error * math.sqrt(p1.variance * p2.variance)
@@ -110,12 +112,10 @@ class TestInterdependent:
     def test_monotone_in_dependence_for_matched_marginals(self):
         p = BetaParams(3, 1)
         dependent = survivability(
-            SurvivabilityScenario(Interdependent(FamilySpec.ol_plus(3, 3, 1)), SERIES),
-            mc(83, 400_000),
+            SurvivabilityScenario(Interdependent(FamilySpec.ol_plus(3, 3, 1)), SERIES)
         )
         independent = survivability(
-            SurvivabilityScenario(Interdependent(FamilySpec.independent(p, p)), SERIES),
-            mc(84, 400_000),
+            SurvivabilityScenario(Interdependent(FamilySpec.independent(p, p)), SERIES)
         )
         assert dependent.correlation > independent.correlation
         assert dependent.system_survivability > independent.system_survivability
@@ -127,9 +127,7 @@ class TestInterdependent:
     def test_product_moment_path_against_direct_monte_carlo(self, spec):
         """rho sqrt(V1 V2) + E1 E2 agrees with the directly sampled E(xy)."""
         n = 1_000_000
-        rep = survivability(
-            SurvivabilityScenario(Interdependent(spec), SERIES), mc(85, n)
-        )
+        rep = survivability(SurvivabilityScenario(Interdependent(spec), SERIES))
         x, y = sample_pairs(RngState(86), spec, n)
         direct = float((x * y).mean())
         se = float((x * y).std() / math.sqrt(n))
@@ -140,7 +138,7 @@ class TestInterdependent:
     def test_parallel_against_direct_monte_carlo(self):
         spec = FamilySpec.ol_plus(3, 3, 1)
         n = 400_000
-        rep = survivability(SurvivabilityScenario(Interdependent(spec), PARALLEL), mc(87, n))
+        rep = survivability(SurvivabilityScenario(Interdependent(spec), PARALLEL))
         x, y = sample_pairs(RngState(88), spec, n)
         direct = 1.0 - float(((1 - x) * (1 - y)).mean())
         se = float(((1 - x) * (1 - y)).std() / math.sqrt(n))
@@ -148,12 +146,8 @@ class TestInterdependent:
 
     def test_series_and_parallel_bracketed_by_components(self):
         spec = FamilySpec.ol_plus(3, 3, 0.3)
-        series = survivability(
-            SurvivabilityScenario(Interdependent(spec), SERIES), mc(89, 400_000)
-        )
-        parallel = survivability(
-            SurvivabilityScenario(Interdependent(spec), PARALLEL), mc(90, 400_000)
-        )
+        series = survivability(SurvivabilityScenario(Interdependent(spec), SERIES))
+        parallel = survivability(SurvivabilityScenario(Interdependent(spec), PARALLEL))
         slack = 4 * series.corr_std_error
         assert series.system_survivability <= min(series.component_survivability) + slack
         assert parallel.system_survivability >= max(parallel.component_survivability) - slack
@@ -181,22 +175,31 @@ class TestTables:
         assert a == b
 
     def test_tables_5_and_6_need_mc(self):
-        with pytest.raises(ValueError):
-            reproduce_table(5)
+        """No settings any more: the tables are deterministic, and passing some is an error."""
+        assert table_csv(reproduce_table(5)) == table_csv(reproduce_table(5))
+        with pytest.raises(TypeError):
+            reproduce_table(5, (100_000, RngState(91)))
 
     def test_table5_shape(self):
-        rows = reproduce_table(5, mc(91, 100_000))
+        rows = reproduce_table(5)
         assert [r.label for r in rows] == ["B(1,1)", "B(3,1)", "B(3,0.3)", "B(1,0.1)"]
-        assert all(r.report.method == "monte_carlo" for r in rows)
+        assert all(r.report.method == "quadrature" for r in rows)
         assert all(r.report.correlation > 0 for r in rows)
 
     def test_table6_shape(self):
-        rows = reproduce_table("table6", mc(92, 100_000))
+        rows = reproduce_table("table6")
         assert [r.label for r in rows] == [
             "B(10.1,10.1)",
             "B(10.1,1.1)",
             "B(5.1,0.6)|B(10.1,0.6)",
         ]
+
+    @pytest.mark.parametrize("table, rho, tol", [(5, TABLE5_RHO, 5e-8), (6, TABLE6_RHO, 5e-6)])
+    def test_tables_5_and_6_exact_correlations(self, table, rho, tol):
+        """Exact correlations; errors positive (perfbench/checks.py divides by them) and tiny."""
+        rows = reproduce_table(table)
+        assert [r.report.correlation for r in rows] == pytest.approx(rho, abs=tol)
+        assert all(0 < r.report.corr_std_error <= 1e-8 for r in rows)
 
     def test_unknown_table(self):
         with pytest.raises(ValueError):
