@@ -15,7 +15,7 @@ from typing import List, NoReturn, Optional, Sequence
 import numpy as np
 
 from . import __version__, families
-from .families import FamilySpec, complement
+from .families import FamilySpec, an8_embedding, complement
 from .grids import DEFAULT_GRID_SAMPLES, density_grid
 from .inference import (
     DiagnosticData,
@@ -125,7 +125,7 @@ def _cmd_posterior(args: argparse.Namespace) -> None:
     truth = None
     if args.data is not None:
         counts = _parse_floats(args.data, "--data")
-        if len(counts) != 4 or any(c != int(c) for c in counts):
+        if len(counts) != 4 or not all(c.is_integer() for c in counts):
             raise CliError(f"--data needs four integers n,n1,k1,k2, got {args.data!r}")
         try:
             d = DiagnosticData(*(int(c) for c in counts))
@@ -203,7 +203,7 @@ def _cmd_closure_check(args: argparse.Namespace) -> None:
     data = {
         "complement": flipped.label(),
         "double_complement": back.label(),
-        "involution": back == family,
+        "involution": an8_embedding(back) == an8_embedding(family),
         "oracle": {
             k: {"complemented_samples": a, "returned_spec": b, "tolerance": tol}
             for k, (a, b, tol) in checks.items()
@@ -232,7 +232,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stream", type=int, default=0)
     p.add_argument("--out", default=None, help="output path ('-' or omitted: stdout)")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--config", default=None, help="JSON file of flag defaults")
 
 
@@ -247,6 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw (x, y) pairs from a family")
     _add_family_flags(p)
     p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
     _add_common(p)
     p.set_defaults(func=_cmd_sample)
 
@@ -254,6 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_flags(p)
     p.add_argument("--m", type=int, default=100)
     p.add_argument("--mc-samples", type=int, default=DEFAULT_GRID_SAMPLES)
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
     _add_common(p)
     p.set_defaults(func=_cmd_density)
 

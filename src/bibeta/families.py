@@ -9,10 +9,12 @@ U_i ~ Gamma(alpha_i):
   AN5 :  X = (U1+U3)/(U1+U3+U4+U5),  Y = (U2+U4)/(U2+U3+U4+U5)
   AN8 :  X = V/(1+V), Y = W/(1+W) with
          V = (U1+U5+U7)/(U3+U6+U8),  W = (U2+U5+U8)/(U4+U6+U7)
+  indep: X = U1/(U1+U2), Y = U3/(U3+U4), the no-dependence baseline, with
+         alphas (a_x, b_x, a_y, b_y) of its two beta marginals
 
-plus the independent product of two betas as a no-dependence baseline.
-The OL variants have a closed-form joint density; AN5/AN8 do not and are
-handled by Monte Carlo histograms (see grids.density_grid).
+AN8 contains the OL variants and indep as zero patterns, and these four
+have a closed-form joint density; AN5/AN8 do not and are handled by Monte
+Carlo histograms (see grids.density_grid).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,7 +44,7 @@ _NO_FLIP = (False, False)
 # variant -> (roles, flip).  Each gamma component has a two-letter role, its
 # role in X then in Y: n numerator, d rest of the denominator, - absent.
 # flip marks the coordinates complemented afterwards.  The independent
-# variant's components are (beta_x.a, beta_x.b, beta_y.a, beta_y.b).
+# variant's components are (a_x, b_x, a_y, b_y) of its two beta marginals.
 STRUCTURE = {
     OL_PLUS: (_OL_ROLES, _NO_FLIP),
     OL_MINUS: (_OL_ROLES, (False, True)),
@@ -66,26 +68,15 @@ class NotClosedError(ValueError):
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """One bivariate family: a variant tag plus its parameters.
-
-    ``alphas`` drives the gamma-ratio variants; the independent variant
-    carries two explicit beta marginals instead.
-    """
+    """One bivariate family: a variant tag plus the gamma shapes of its
+    components, in the order STRUCTURE lists their roles."""
 
     variant: str
-    alphas: Optional[Tuple[float, ...]] = None
-    beta_x: Optional[BetaParams] = None
-    beta_y: Optional[BetaParams] = None
+    alphas: Tuple[float, ...]
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown family variant {self.variant!r}")
-        if self.variant == INDEPENDENT:
-            if self.beta_x is None or self.beta_y is None or self.alphas is not None:
-                raise ValueError("independent variant requires beta_x and beta_y, no alphas")
-            return
-        if self.alphas is None or self.beta_x is not None or self.beta_y is not None:
-            raise ValueError(f"{self.variant} requires an alpha vector and no beta marginals")
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         n = len(STRUCTURE[self.variant][0])
         if len(self.alphas) != n:
@@ -119,14 +110,7 @@ class FamilySpec:
 
     @classmethod
     def independent(cls, beta_x: BetaParams, beta_y: BetaParams) -> "FamilySpec":
-        return cls(INDEPENDENT, beta_x=beta_x, beta_y=beta_y)
-
-    @property
-    def shapes(self) -> Tuple[float, ...]:
-        """Gamma shapes of the components, in the order STRUCTURE lists their roles."""
-        if self.variant == INDEPENDENT:
-            return (self.beta_x.a, self.beta_x.b, self.beta_y.a, self.beta_y.b)
-        return self.alphas
+        return cls(INDEPENDENT, (beta_x.a, beta_x.b, beta_y.a, beta_y.b))
 
     @property
     def has_closed_form(self) -> bool:
@@ -134,7 +118,7 @@ class FamilySpec:
 
     def label(self) -> str:
         if self.variant == INDEPENDENT:
-            return f"indep[{self.beta_x},{self.beta_y}]"
+            return "indep[{},{}]".format(*marginal_params(self))
         body = ",".join(f"{a:g}" for a in self.alphas)
         return f"{self.variant}({body})"
 
@@ -163,7 +147,7 @@ def marginal_params(family: FamilySpec) -> Tuple[BetaParams, BetaParams]:
     Sum the shapes of each coordinate's numerator and rest-of-denominator
     components; complemented coordinates swap (a, b).
     """
-    shapes = family.shapes
+    shapes = family.alphas
     out = []
     for num, rest, flipped in ratio_axes(family.variant):
         a = reduce(operator.add, (shapes[i] for i in num))
@@ -199,7 +183,7 @@ def product_moment(family: FamilySpec) -> Tuple[float, float]:
     until two rules agree to 1e-10 relative; their difference, floored at
     rounding, is the error.
     """
-    a = family.shapes
+    a = family.alphas
     (num_x, rest_x, flip_x), (num_y, rest_y, flip_y) = ratio_axes(family.variant)
     # 1 - N/(N+R) = R/(N+R): a complemented coordinate's numerator is its rest
     nx, ny = set(rest_x if flip_x else num_x), set(rest_y if flip_y else num_y)
@@ -272,7 +256,7 @@ def closed_form_logpdf(family: FamilySpec, x: ArrayLike, y: ArrayLike) -> ArrayL
     """
     v = family.variant
     if v == INDEPENDENT:
-        px, py = family.beta_x, family.beta_y
+        px, py = marginal_params(family)
         return (
             (px.a - 1.0) * np.log(x)
             + (px.b - 1.0) * np.log1p(-x)
@@ -320,10 +304,10 @@ def _an8_vector(alphas: Sequence[float], slots: Sequence[int]) -> Tuple[float, .
 
 
 def an8_embedding(family: FamilySpec) -> FamilySpec:
-    """The AN8 spec equal in law to an OL variant (or an AN8 passed through)."""
+    """The AN8 spec equal in law to an OL variant or indep (an AN8 passes through)."""
     if family.variant == AN8:
         return family
-    if family.variant not in OL_VARIANTS:
+    if family.variant == AN5:
         raise ValueError(f"no AN8 embedding for variant {family.variant}")
     return FamilySpec(AN8, _an8_vector(family.alphas, _an8_slots(*STRUCTURE[family.variant])))
 
@@ -334,27 +318,23 @@ def complement(family: FamilySpec, which: str) -> FamilySpec:
     ``which`` selects the complemented coordinate(s): "x", "y" or "both".
     They are toggled in the family's flip pair, and the result is placed in
     AN8, which is closed under every complementation.  An AN8 vector whose
-    support matches an OL embedding is lowered back to that OL variant, so
-    OL variants relabel in place where the three-variant taxonomy allows it
-    and double complementation is an exact involution; the (1-X, Y)-type
-    laws, which are not OL variants in this coordinate convention, stay in
-    AN8.  AN5 is not closed and raises.
+    support matches an OL or indep embedding is lowered back to that
+    variant, so OL variants relabel in place where the three-variant
+    taxonomy allows it, indep swaps the affected marginal's (a, b), and
+    double complementation is an exact involution; the (1-X, Y)-type laws,
+    which are not OL variants in this coordinate convention, stay in AN8.
+    AN5 is not closed and raises.
     """
     if which not in _WHICH:
         raise ValueError(f"which must be 'x', 'y' or 'both', got {which!r}")
     v = family.variant
     if v == AN5:
         raise NotClosedError("the AN5 family is not closed under complementation")
-    if v == INDEPENDENT:
-        bx, by = (
-            p.swapped() if f else p for p, f in zip((family.beta_x, family.beta_y), _WHICH[which])
-        )
-        return FamilySpec.independent(bx, by)
     roles, flip = STRUCTURE[v]
     flip = (flip[0] != _WHICH[which][0], flip[1] != _WHICH[which][1])
     vec = _an8_vector(family.alphas, _an8_slots(roles, flip))
     support = {i for i, a in enumerate(vec) if a != 0.0}
-    for variant in (OL_PLUS, OL_MINUS, OL_STAR):
+    for variant in (OL_PLUS, OL_MINUS, OL_STAR, INDEPENDENT):
         slots = _an8_slots(*STRUCTURE[variant])
         if support == set(slots):
             return FamilySpec(variant, tuple(vec[i] for i in slots))

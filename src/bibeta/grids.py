@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import families
-from .families import FamilySpec, closed_form_logpdf
+from .families import FamilySpec, closed_form_logpdf, marginal_params
 from .sampling import RngState, sample_pairs
 from .serialize import csv_text, json_text
 
@@ -44,41 +44,26 @@ class DensityGrid:
         if self.cells.shape != (self.m, self.m):
             raise ValueError(f"cells must be {self.m}x{self.m}, got {self.cells.shape}")
 
-    @property
-    def x_axis(self) -> np.ndarray:
-        return grid_midpoints(self.m)
-
-    @property
-    def y_axis(self) -> np.ndarray:
-        return grid_midpoints(self.m)
-
     def total_mass(self) -> float:
         """Midpoint-rule integral (1/m^2) * sum(cells); 1 up to fp rounding."""
         return float(self.cells.sum() / (self.m * self.m))
 
-    def x_marginal(self) -> np.ndarray:
-        """Marginal density of x at the midpoints (row sums / m)."""
-        return self.cells.sum(axis=1) / self.m
-
-    def y_marginal(self) -> np.ndarray:
-        return self.cells.sum(axis=0) / self.m
-
     def to_csv(self) -> str:
-        header = [f"{y:.12g}" for y in self.y_axis]
+        header = [f"{y:.12g}" for y in grid_midpoints(self.m)]
         return csv_text(header, self.cells.tolist())
 
     def to_json(self) -> str:
+        indep = self.family is not None and self.family.variant == families.INDEPENDENT
         meta = {
             "variant": self.family.variant if self.family else None,
-            "alphas": list(self.family.alphas) if self.family and self.family.alphas else None,
+            "alphas": list(self.family.alphas) if self.family and not indep else None,
             "m": self.m,
             "n_samples": self.n_samples,
             "seed": list(self.seed) if self.seed else None,
             "estimated": self.estimated,
         }
-        if self.family and self.family.variant == families.INDEPENDENT:
-            meta["beta_x"] = [self.family.beta_x.a, self.family.beta_x.b]
-            meta["beta_y"] = [self.family.beta_y.a, self.family.beta_y.b]
+        if indep:
+            meta["beta_x"], meta["beta_y"] = ([p.a, p.b] for p in marginal_params(self.family))
         return json_text(meta, {"cells": self.cells.tolist()})
 
 

@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import families
-from .families import FamilySpec, closed_form_logpdf
+from .families import FamilySpec, closed_form_logpdf, marginal_params
 from .grids import DEFAULT_GRID_SAMPLES, density_grid, grid_midpoints
 from .sampling import RngState
 from .special import BetaParams
@@ -90,20 +90,20 @@ class GridPosterior:
         return csv_text(header, self.weights.tolist())
 
     def to_json(self, seed: Optional[Tuple[int, int]] = None) -> str:
-        prior = self.prior
+        prior, family = self.prior, self.prior.eta_theta_prior
+        indep = family.variant == families.INDEPENDENT
         meta = {
             "m": self.m,
             "data": {"n": self.data.n, "n1": self.data.n1, "k1": self.data.k1, "k2": self.data.k2},
-            "prior_variant": prior.eta_theta_prior.variant,
-            "prior_alphas": list(prior.eta_theta_prior.alphas)
-            if prior.eta_theta_prior.alphas
-            else None,
+            "prior_variant": family.variant,
+            "prior_alphas": None if indep else list(family.alphas),
             "pi_prior": [prior.pi_prior.a, prior.pi_prior.b],
             "seed": list(seed) if seed else None,
         }
-        if prior.eta_theta_prior.variant == families.INDEPENDENT:
-            meta["prior_beta_eta"] = [prior.eta_theta_prior.beta_x.a, prior.eta_theta_prior.beta_x.b]
-            meta["prior_beta_theta"] = [prior.eta_theta_prior.beta_y.a, prior.eta_theta_prior.beta_y.b]
+        if indep:
+            meta["prior_beta_eta"], meta["prior_beta_theta"] = (
+                [p.a, p.b] for p in marginal_params(family)
+            )
         data = {
             "eta_axis": self.eta_axis.tolist(),
             "theta_axis": self.theta_axis.tolist(),

@@ -123,7 +123,7 @@ def sample_pairs(rng: RngState, family: FamilySpec, n: int) -> Tuple[np.ndarray,
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    shapes = family.shapes
+    shapes = family.alphas
     gen = rng.generator
     if any(0.0 < s < LOG_SPACE_SHAPE for s in shapes):
         neg_inf = np.full(n, -np.inf)

@@ -19,8 +19,8 @@ class BetaParams:
     b: float
 
     def __post_init__(self) -> None:
-        if not (self.a > 0 and self.b > 0):
-            raise ValueError(f"beta shape parameters must be positive, got ({self.a}, {self.b})")
+        if not (0 < self.a < math.inf and 0 < self.b < math.inf):
+            raise ValueError(f"beta shapes must be positive and finite, got ({self.a}, {self.b})")
 
     @property
     def mean(self) -> float:

@@ -96,6 +96,28 @@ class TestDensity:
         assert rc == 2
         assert "n_samples" in json.loads(err.strip())["error"]
 
+    def test_indep_json_metadata(self, capsys):
+        rc, out, _ = run(
+            capsys,
+            "density", "--family", "indep", "--beta1", "2,3", "--beta2", "1,4",
+            "--m", "4", "--format", "json",
+        )
+        assert rc == 0
+        meta = json.loads(out)["meta"]
+        assert meta["variant"] == "indep"
+        assert meta["alphas"] is None
+        assert meta["beta_x"] == [2.0, 3.0]
+        assert meta["beta_y"] == [1.0, 4.0]
+
+    def test_infinite_beta_shape_rejected(self, capsys):
+        rc, out, err = run(
+            capsys, "density", "--family", "indep", "--beta1", "inf,1", "--beta2", "1,1"
+        )
+        assert rc == 2
+        assert out == ""
+        assert len(err.strip().split("\n")) == 1
+        assert "finite" in json.loads(err)["error"]
+
 
 class TestPosterior:
     def test_prior_recovery(self, capsys, tmp_path):
@@ -153,6 +175,34 @@ class TestPosterior:
         )
         assert rc == 2
         assert "inconsistent" in json.loads(err.strip())["error"]
+
+    @pytest.mark.parametrize("data", ["inf,1,1,1", "nan,1,1,1"])
+    def test_non_finite_counts_rejected(self, capsys, tmp_path, data):
+        rc, out, err = run(
+            capsys,
+            "posterior", "--data", data,
+            "--prior-family", "indep", "--prior-beta1", "1,1", "--prior-beta2", "1,1",
+            "--out", str(tmp_path / "x"),
+        )
+        assert rc == 2
+        assert out == ""
+        assert len(err.strip().split("\n")) == 1
+        assert "--data" in json.loads(err)["error"]
+
+    def test_indep_grid_json_metadata(self, capsys, tmp_path):
+        out = tmp_path / "post"
+        rc, _, _ = run(
+            capsys,
+            "posterior", "--data", "10,5,3,2",
+            "--prior-family", "indep", "--prior-beta1", "2,3", "--prior-beta2", "1,4",
+            "--m", "10", "--out", str(out),
+        )
+        assert rc == 0
+        meta = json.loads((tmp_path / "post.grid.json").read_text())["meta"]
+        assert meta["prior_variant"] == "indep"
+        assert meta["prior_alphas"] is None
+        assert meta["prior_beta_eta"] == [2.0, 3.0]
+        assert meta["prior_beta_theta"] == [1.0, 4.0]
 
 
 class TestTables:
@@ -220,6 +270,32 @@ class TestClosureCheck:
         assert doc["data"]["involution"] is True
         assert doc["data"]["oracle_passed"] is True
 
+    @pytest.mark.parametrize("which", ["x", "y", "both"])
+    def test_an8_on_ol_support_is_involution(self, capsys, which):
+        """The double complement lowers to OL; it is the same law as the AN8 input."""
+        rc, out, _ = run(
+            capsys,
+            "closure-check", "--family", "an8", "--alphas", "10,0,0,2.5,0,0,0,5",
+            "--which", which, "--mc-samples", "20000", "--seed", "5",
+        )
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["data"]["double_complement"] == "ol-minus(10,2.5,5)"
+        assert doc["data"]["involution"] is True
+
+    def test_an8_on_indep_support_complements_to_indep(self, capsys):
+        rc, out, _ = run(
+            capsys,
+            "closure-check", "--family", "an8", "--alphas", "2,1,3,4,0,0,0,0",
+            "--which", "x", "--mc-samples", "20000", "--seed", "5",
+        )
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["data"]["complement"] == "indep[B(3,2),B(1,4)]"
+        assert doc["data"]["double_complement"] == "indep[B(2,3),B(1,4)]"
+        assert doc["data"]["involution"] is True
+        assert doc["data"]["oracle_passed"] is True
+
     def test_an5_reports_not_closed(self, capsys):
         rc, _, err = run(
             capsys, "closure-check", "--family", "an5", "--alphas", "1,1,1,1,1"
@@ -267,8 +343,15 @@ class TestUsageErrors:
             ("sample", "--n", "abc"),
             ("sample", "--family", "not-a-family"),
             ("sample", "--family", "ol-plus", "--alphas", "1,1,1", "--no-such-flag"),
+            ("tables", "--table", "4", "--format", "json"),
+            ("posterior", "--data", "0,0,0,0", "--prior-family", "indep", "--prior-beta1", "1,1",
+             "--prior-beta2", "1,1", "--out", "unused", "--format", "json"),
+            ("closure-check", "--family", "ol-plus", "--alphas", "1,1,1", "--format", "json"),
         ],
-        ids=["bad_int", "bad_choice", "unknown_flag"],
+        ids=[
+            "bad_int", "bad_choice", "unknown_flag",
+            "format_on_tables", "format_on_posterior", "format_on_closure_check",
+        ],
     )
     def test_usage_error_is_json(self, capsys, argv):
         rc, out, err = run(capsys, *argv)
@@ -283,6 +366,13 @@ class TestUsageErrors:
         rc, _, err = run(capsys, "sample", "--config", str(cfg))
         assert rc == 2
         assert "--n" in json.loads(err.strip())["error"]
+
+    def test_format_config_key_rejected_where_ignored(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": "json"}))
+        rc, _, err = run(capsys, "tables", "--table", "4", "--config", str(cfg))
+        assert rc == 2
+        assert "'format'" in json.loads(err.strip())["error"]
 
     def test_version_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -55,6 +55,8 @@ AN8_COMPLEMENT_PERMS = {
 }
 # nonzero AN8 slots of each OL embedding, in OL component order
 OL_EMBED_SLOTS = {OL_PLUS: (0, 1, 5), OL_MINUS: (0, 3, 7), OL_STAR: (2, 3, 4)}
+# AN8 slots of indep's (a_x, b_x, a_y, b_y): U1/(U1+U3) and U2/(U2+U4)
+INDEP_EMBED_SLOTS = (0, 2, 1, 3)
 COMPLEMENTED = {"x": (True, False), "y": (False, True), "both": (True, True)}
 
 
@@ -109,10 +111,16 @@ class TestFamilySpec:
             FamilySpec.an5(0.0, 1.0, 0.0, 1.0, 0.0)  # x numerator shape would be 0
 
     def test_independent_needs_two_marginals(self):
-        with pytest.raises(ValueError):
-            FamilySpec("indep", (1.0, 2.0, 3.0))
+        for alphas in ((1.0, 2.0, 3.0), (1, 2, math.inf, 1), (1, 2, 1, math.nan), (1, 0, 1, 1)):
+            with pytest.raises(ValueError):
+                FamilySpec("indep", alphas)
         spec = FamilySpec.independent(BetaParams(2, 3), BetaParams(1, 1))
         assert marginal_params(spec) == (BetaParams(2, 3), BetaParams(1, 1))
+
+    def test_independent_is_an_alpha_vector(self):
+        spec = FamilySpec.independent(BetaParams(2, 3), BetaParams(1, 4))
+        assert spec == FamilySpec(INDEPENDENT, (2, 3, 1, 4))
+        assert spec.label() == "indep[B(2,3),B(1,4)]"
 
 
 class TestMarginalParams:
@@ -259,6 +267,16 @@ class TestComplement:
         with pytest.raises(NotClosedError):
             complement(FamilySpec.an5(1, 1, 1, 1, 1), "y")
 
+    def test_an8_reduction_matches_indep_law(self):
+        """Zeroing AN8 slots 4-7 reproduces the independent law."""
+        n = 400_000
+        target = FamilySpec.independent(BetaParams(2, 3), BetaParams(1.5, 0.7))
+        embedded = an8_embedding(target)
+        assert marginal_params(embedded) == marginal_params(target)
+        x, y = sample_pairs(RngState(141), target, n)
+        x2, y2 = sample_pairs(RngState(142), embedded, n)
+        assert law_distance_ok(x, y, x2, y2, n)
+
     def test_independent_swaps_affected_marginal(self):
         spec = FamilySpec.independent(BetaParams(2, 3), BetaParams(1, 4))
         assert complement(spec, "x") == FamilySpec.independent(BetaParams(3, 2), BetaParams(1, 4))
@@ -312,8 +330,10 @@ DYADIC = st.integers(min_value=1, max_value=3200).map(lambda k: k / 64)
 
 @st.composite
 def an8_specs(draw, positive):
-    """AN8 specs with zeros allowed, often on an OL embedding's support."""
-    support = draw(st.sampled_from([None, *OL_EMBED_SLOTS.values(), (1, 2, 6)]))
+    """AN8 specs with zeros allowed, often on an OL or indep embedding's support."""
+    support = draw(
+        st.sampled_from([None, *OL_EMBED_SLOTS.values(), INDEP_EMBED_SLOTS, (1, 2, 6)])
+    )
     if support is None:
         alphas = draw(st.tuples(*[st.one_of(st.just(0.0), positive, positive)] * 8))
     else:
@@ -358,6 +378,17 @@ class TestStructureTable:
         for slot, a in zip(OL_EMBED_SLOTS[variant], alphas):
             expected[slot] = a
         assert an8_embedding(FamilySpec(variant, alphas)) == FamilySpec.an8(*expected)
+
+    def test_indep_embeds_at_an8_slots(self):
+        indep = FamilySpec.independent(BetaParams(2, 3), BetaParams(1, 4))
+        assert an8_embedding(indep) == FamilySpec.an8(2, 1, 3, 4, 0, 0, 0, 0)
+        assert complement(FamilySpec.an8(2, 1, 3, 4, 0, 0, 0, 0), "x") == (
+            FamilySpec.independent(BetaParams(3, 2), BetaParams(1, 4))
+        )
+
+    def test_an5_has_no_an8_embedding(self):
+        with pytest.raises(ValueError):
+            an8_embedding(FamilySpec.an5(1, 1, 1, 1, 1))
 
     @given(st.data(), st.sampled_from(sorted(COMPLEMENTED)))
     def test_an8_complement_permutes_alphas(self, data, which):

@@ -113,6 +113,13 @@ class TestBetaParams:
     def test_swapped(self):
         assert BetaParams(2.0, 5.0).swapped() == BetaParams(5.0, 2.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            BetaParams(bad, 1.0)
+        with pytest.raises(ValueError):
+            BetaParams(1.0, bad)
+
 
 PARAM_GRID = [0.3, 1.0, 3.0, 10.1]
 
