@@ -4,7 +4,7 @@ survivability assessment."""
 
 __version__ = "0.1.0"
 
-from .special import BetaParams, beta_pdf, beta2_pdf, std_normal_cdf
+from .special import BetaParams, std_normal_cdf
 from .families import (
     AN5,
     AN8,
@@ -18,7 +18,7 @@ from .families import (
     complement,
     marginal_params,
 )
-from .sampling import MomentEstimate, RngState, estimate_moments, gamma_sample, sample_pairs
+from .sampling import MomentEstimate, RngState, estimate_moments, sample_pairs
 from .grids import DensityGrid, density_grid
 from .inference import (
     DegeneratePosteriorError,
@@ -27,7 +27,6 @@ from .inference import (
     PosteriorSummary,
     PriorSpec,
     joint_posterior,
-    log_likelihood,
     marginal_posterior,
     pi_posterior,
     posterior_summary,
@@ -47,8 +46,6 @@ from .survivability import (
 
 __all__ = [
     "BetaParams",
-    "beta_pdf",
-    "beta2_pdf",
     "std_normal_cdf",
     "FamilySpec",
     "NotClosedError",
@@ -63,7 +60,6 @@ __all__ = [
     "INDEPENDENT",
     "RngState",
     "MomentEstimate",
-    "gamma_sample",
     "sample_pairs",
     "estimate_moments",
     "DensityGrid",
@@ -73,7 +69,6 @@ __all__ = [
     "GridPosterior",
     "PosteriorSummary",
     "DegeneratePosteriorError",
-    "log_likelihood",
     "pi_posterior",
     "joint_posterior",
     "marginal_posterior",

@@ -112,38 +112,6 @@ class GridPosterior:
         return json_text(meta, data)
 
 
-def _log_term(base: float, exponent: float) -> float:
-    # exponent * log(base) with the boundary convention: a zero base is only
-    # legal when its exponent vanishes
-    if base == 0.0:
-        if exponent == 0.0:
-            return 0.0
-        raise ValueError("boundary parameter with a nonzero exponent has zero likelihood")
-    return exponent * math.log(base)
-
-
-def _log_binom(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
-def log_likelihood(pi: float, eta: float, theta: float, d: DiagnosticData) -> float:
-    """Log of the three-binomial product likelihood at (pi, eta, theta)."""
-    for name, value in (("pi", pi), ("eta", eta), ("theta", theta)):
-        if not (0.0 <= value <= 1.0):
-            raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    return (
-        _log_binom(d.n, d.n1)
-        + _log_binom(d.n1, d.k1)
-        + _log_binom(d.n2, d.k2)
-        + _log_term(theta, d.k2)
-        + _log_term(1.0 - theta, d.n2 - d.k2)
-        + _log_term(eta, d.k1)
-        + _log_term(1.0 - eta, d.n1 - d.k1)
-        + _log_term(pi, d.n1)
-        + _log_term(1.0 - pi, d.n2)
-    )
-
-
 def pi_posterior(d: DiagnosticData, prior: BetaParams) -> BetaParams:
     """Exact conjugate update: B(a + n1, b + n - n1)."""
     return BetaParams(prior.a + d.n1, prior.b + d.n2)

@@ -83,26 +83,6 @@ def _log_gamma_draws(gen: np.random.Generator, shape: float, n: int) -> np.ndarr
         return np.log(w) + np.log(u) / shape
 
 
-def gamma_sample(rng: RngState, shape: float, size: Optional[int] = None):
-    """Draw from Gamma(shape, scale 1); a zero shape is the constant 0.
-
-    Exact at every shape: below LOG_SPACE_SHAPE the draw is built through
-    the log-space boost, so returned values underflow gracefully to zero
-    (their magnitudes are far below the subnormal range) without biasing
-    the law.  Returns a float when ``size`` is None, else an ndarray.
-    """
-    if shape < 0:
-        raise ValueError(f"gamma shape must be >= 0, got {shape}")
-    if shape == 0.0:
-        return 0.0 if size is None else np.zeros(size)
-    n = 1 if size is None else size
-    if shape < LOG_SPACE_SHAPE:
-        draws = np.exp(_log_gamma_draws(rng.generator, shape, n))
-    else:
-        draws = rng.generator.standard_gamma(shape, size=n)
-    return float(draws[0]) if size is None else draws
-
-
 def _linear_ratio(num: Sequence[np.ndarray], rest: Sequence[np.ndarray]) -> np.ndarray:
     top = reduce(np.add, num)
     return top / reduce(np.add, rest, top)

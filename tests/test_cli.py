@@ -262,7 +262,7 @@ class TestClosureCheck:
         rc, out, _ = run(
             capsys,
             "closure-check", "--family", "ol-plus", "--alphas", "3,3,1",
-            "--which", "y", "--mc-samples", "100000", "--seed", "5",
+            "--which", "y", "--seed", "5",
         )
         assert rc == 0
         doc = json.loads(out)
@@ -276,7 +276,7 @@ class TestClosureCheck:
         rc, out, _ = run(
             capsys,
             "closure-check", "--family", "an8", "--alphas", "10,0,0,2.5,0,0,0,5",
-            "--which", which, "--mc-samples", "20000", "--seed", "5",
+            "--which", which, "--seed", "5",
         )
         assert rc == 0
         doc = json.loads(out)
@@ -287,13 +287,36 @@ class TestClosureCheck:
         rc, out, _ = run(
             capsys,
             "closure-check", "--family", "an8", "--alphas", "2,1,3,4,0,0,0,0",
-            "--which", "x", "--mc-samples", "20000", "--seed", "5",
+            "--which", "x", "--seed", "5",
         )
         assert rc == 0
         doc = json.loads(out)
         assert doc["data"]["complement"] == "indep[B(3,2),B(1,4)]"
         assert doc["data"]["double_complement"] == "indep[B(2,3),B(1,4)]"
         assert doc["data"]["involution"] is True
+        assert doc["data"]["oracle_passed"] is True
+
+    def test_closure_bytes_ignore_seed(self, capsys):
+        """The oracle is exact, so neither --seed nor --stream enters the output."""
+        base = ("closure-check", "--family", "an8", "--alphas", "1,2,3,0.5,1.5,2.5,0.7,1.2",
+                "--which", "both")
+        outs = {run(capsys, *base, *extra)[1] for extra in ((), ("--seed", "7"), ("--stream", "3"))}
+        assert len(outs) == 1
+        doc = json.loads(outs.pop())
+        assert doc["data"]["oracle_passed"] is True
+        assert not {"seed", "stream", "mc_samples"} & set(doc["meta"])
+        for check in doc["data"]["oracle"].values():
+            assert set(check) == {"complemented_original", "returned_spec", "tolerance"}
+
+    def test_indep_meta_records_marginals(self, capsys):
+        rc, out, _ = run(
+            capsys,
+            "closure-check", "--family", "indep", "--beta1", "2,3", "--beta2", "1,4", "--which", "y",
+        )
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["meta"]["beta1"] == "2,3" and doc["meta"]["beta2"] == "1,4"
+        assert doc["data"]["complement"] == "indep[B(2,3),B(4,1)]"
         assert doc["data"]["oracle_passed"] is True
 
     def test_an5_reports_not_closed(self, capsys):
@@ -347,10 +370,12 @@ class TestUsageErrors:
             ("posterior", "--data", "0,0,0,0", "--prior-family", "indep", "--prior-beta1", "1,1",
              "--prior-beta2", "1,1", "--out", "unused", "--format", "json"),
             ("closure-check", "--family", "ol-plus", "--alphas", "1,1,1", "--format", "json"),
+            ("closure-check", "--family", "ol-plus", "--alphas", "1,1,1", "--mc-samples", "1000"),
         ],
         ids=[
             "bad_int", "bad_choice", "unknown_flag",
             "format_on_tables", "format_on_posterior", "format_on_closure_check",
+            "mc_samples_on_closure_check",
         ],
     )
     def test_usage_error_is_json(self, capsys, argv):

@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy import stats as sp_stats
 
+from bibeta.cli import _closure_oracle
 from bibeta.families import (
     AN5,
     AN8,
@@ -27,7 +29,7 @@ from bibeta.families import (
     ratio_axes,
 )
 from bibeta.sampling import RngState, estimate_moments, sample_pairs
-from bibeta.special import BetaParams, beta_pdf
+from bibeta.special import BetaParams
 
 ALPHA_SETS_3 = [(1.0, 1.0, 1.0), (3.0, 1.0, 1.0), (10.0, 2.5, 5.0)]
 # the OL densities under test, named after the density they evaluate
@@ -183,7 +185,7 @@ class TestOlDensities:
         pdf = ol_density(OL_MINUS, (10.0, 2.5, 5.0))
         for eta in (0.2, 0.5, 0.8):
             val, _ = integrate.quad(lambda t: pdf(eta, t), 0.0, 1.0, limit=200)
-            assert val == pytest.approx(beta_pdf(eta, BetaParams(10, 5)), abs=1e-4)
+            assert val == pytest.approx(sp_stats.beta.pdf(eta, 10, 5), abs=1e-4)
 
     def test_domain_errors(self):
         """Alpha vectors are validated where the density's family is built."""
@@ -358,7 +360,7 @@ def closed_specs(draw, positive):
 
 def swapped_marginals(spec, which):
     return tuple(
-        p.swapped() if flipped else p
+        BetaParams(p.b, p.a) if flipped else p
         for p, flipped in zip(marginal_params(spec), COMPLEMENTED[which])
     )
 
@@ -443,15 +445,26 @@ def moment_specs(draw):
     return FamilySpec.an5(*draw(st.tuples(*[MOMENT_SHAPES] * 5)))
 
 
+AN8_VECTOR = FamilySpec.an8(1, 2, 3, 0.5, 1.5, 2.5, 0.7, 1.2)
+INDEP = FamilySpec.independent(BetaParams(2, 3), BetaParams(1, 4))
+
+
 class TestProductMoment:
     @settings(max_examples=40, deadline=None)
     @given(moment_specs(), st.integers(min_value=0, max_value=2**32 - 1))
+    @example(FamilySpec.ol_minus(10, 2.5, 5), 1)
+    @example(FamilySpec.ol_star(3, 1, 1), 2)
+    @example(complement(AN8_VECTOR, "y"), 3)
+    @example(complement(INDEP, "x"), 4)
     def test_agrees_with_sample_mean(self, spec, seed):
-        """The CLT error of a sample mean of xy is exact, unlike a correlation's."""
+        """The CLT error of a sample mean of xy is exact, unlike a correlation's;
+        the sampler's coordinate flips also show in the marginal means."""
         n = 20_000
         x, y = sample_pairs(RngState(seed), spec, n)
         e_xy, err = product_moment(spec)
         assert abs(e_xy - (x * y).mean()) <= 4 * (x * y).std() / math.sqrt(n) + err
+        for sample, p in zip((x, y), marginal_params(spec)):
+            assert abs(sample.mean() - p.mean) <= 4 * math.sqrt(p.variance / n)
 
     @settings(deadline=None)
     @given(st.tuples(*[MOMENT_SHAPES] * 4))
@@ -500,3 +513,15 @@ class TestProductMoment:
         n = 200_000
         x, y = sample_pairs(RngState(140), spec, n)
         assert abs(e_xy - (x * y).mean()) <= 4 * (x * y).std() / math.sqrt(n) + err
+
+
+class TestClosureOracle:
+    """The exact moment oracle that closure-check runs on complement()."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(closed_specs(MOMENT_SHAPES), st.sampled_from(sorted(COMPLEMENTED)))
+    def test_oracle_passes(self, spec, which):
+        checks = _closure_oracle(spec, complement(spec, which), which)
+        assert sorted(checks) == ["correlation", "mean_x", "mean_y"]
+        for original, returned, tol in checks.values():
+            assert abs(original - returned) <= tol

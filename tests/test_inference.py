@@ -17,7 +17,6 @@ from bibeta.inference import (
     GridPosterior,
     PriorSpec,
     joint_posterior,
-    log_likelihood,
     marginal_csv,
     marginal_posterior,
     pi_posterior,
@@ -63,14 +62,30 @@ class TestDiagnosticData:
         assert DiagnosticData(100, 35, 27, 39).n2 == 65
 
 
+UNIFORM_PRIOR = PriorSpec(
+    FamilySpec.independent(BetaParams(1, 1), BetaParams(1, 1)), BetaParams(1, 1)
+)
+CENTER = (50, 50)
+
+
+def assert_log_weights_match_oracle(d, cell, ref=CENTER, pi=0.5, m=100):
+    """Under a uniform prior, log-weight differences between grid cells are
+    log-likelihood differences; pi and the binomial coefficients cancel."""
+    w = joint_posterior(d, UNIFORM_PRIOR, m=m).weights
+    mid = grid_midpoints(m)
+    want = binom_oracle(pi, mid[cell[0]], mid[cell[1]], d) - binom_oracle(
+        pi, mid[ref[0]], mid[ref[1]], d
+    )
+    got = math.log(w[cell]) - math.log(w[ref])
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 class TestLogLikelihood:
     def test_single_subject(self):
-        d = DiagnosticData(1, 1, 1, 0)
-        assert log_likelihood(0.5, 0.5, 0.5, d) == pytest.approx(math.log(0.25), rel=1e-14)
+        assert_log_weights_match_oracle(DiagnosticData(1, 1, 1, 0), (80, 10), (20, 60))
 
     def test_two_subjects(self):
-        d = DiagnosticData(2, 1, 1, 1)
-        assert log_likelihood(0.5, 0.5, 0.5, d) == pytest.approx(math.log(0.125), rel=1e-14)
+        assert_log_weights_match_oracle(DiagnosticData(2, 1, 1, 1), (80, 30), (20, 60))
 
     @pytest.mark.parametrize(
         "d,params",
@@ -81,27 +96,27 @@ class TestLogLikelihood:
         ],
     )
     def test_pmf_product_oracle(self, d, params):
-        assert log_likelihood(*params, d) == pytest.approx(binom_oracle(*params, d), rel=1e-12)
+        pi, eta, theta = params
+        assert_log_weights_match_oracle(d, (int(eta * 100), int(theta * 100)), pi=pi)
 
     def test_theta_exponent_counts_screen_positive_healthy(self):
         # n - n1 - k2 = 3 here, while n - k1 - k2 would be 5; the oracle
         # built on Binomial(n - n1, theta) arbitrates
-        d = DiagnosticData(10, 4, 2, 3)
-        assert log_likelihood(0.3, 0.6, 0.7, d) == pytest.approx(
-            binom_oracle(0.3, 0.6, 0.7, d), rel=1e-12
-        )
+        assert_log_weights_match_oracle(DiagnosticData(10, 4, 2, 3), (60, 70), pi=0.3)
 
     def test_boundary_with_zero_exponent_is_finite(self):
         d = DiagnosticData(10, 4, 4, 6)  # k1 = n1 and k2 = n - n1
-        val = log_likelihood(0.5, 1.0, 1.0, d)
-        assert math.isfinite(val)
+        w = joint_posterior(d, UNIFORM_PRIOR, m=100).weights
+        assert np.all(np.isfinite(np.log(w)))
+        assert_log_weights_match_oracle(d, (99, 99))
 
     def test_boundary_with_positive_exponent_errors(self):
+        """k1 < n1: the likelihood vanishes at eta = 1.  Midpoints never reach it,
+        so the edge cell keeps a finite weight that matches the oracle."""
         d = DiagnosticData(10, 4, 3, 6)
-        with pytest.raises(ValueError):
-            log_likelihood(0.5, 1.0, 1.0, d)
-        with pytest.raises(ValueError):
-            log_likelihood(0.5, 1.5, 0.5, d)
+        w = joint_posterior(d, UNIFORM_PRIOR, m=100).weights
+        assert np.all(np.isfinite(np.log(w)))
+        assert_log_weights_match_oracle(d, (99, 99))
 
 
 class TestPiPosterior:

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from scipy import special as sp_special
 
-from bibeta.families import FamilySpec
+from bibeta.families import FamilySpec, an8_embedding
 from bibeta.sampling import (
     MomentEstimate,
     RngState,
+    _log_gamma_draws,
     estimate_moments,
-    gamma_sample,
     sample_pairs,
 )
 from bibeta.special import BetaParams
@@ -52,15 +52,19 @@ def reference_small_shape_gamma(rng: np.random.Generator, shape: float, n: int) 
     return out
 
 
+# every gamma component of this family has shape 2.5
+SHAPE_2_5 = FamilySpec.independent(BetaParams(2.5, 2.5), BetaParams(2.5, 2.5))
+
+
 class TestDeterminism:
     def test_gamma_sequences_bit_identical(self):
-        a = gamma_sample(RngState(7, 3), 2.5, size=1000)
-        b = gamma_sample(RngState(7, 3), 2.5, size=1000)
+        a = sample_pairs(RngState(7, 3), SHAPE_2_5, 1000)
+        b = sample_pairs(RngState(7, 3), SHAPE_2_5, 1000)
         assert np.array_equal(a, b)
 
     def test_streams_differ(self):
-        a = gamma_sample(RngState(7, 0), 2.5, size=100)
-        b = gamma_sample(RngState(7, 1), 2.5, size=100)
+        a = sample_pairs(RngState(7, 0), SHAPE_2_5, 100)
+        b = sample_pairs(RngState(7, 1), SHAPE_2_5, 100)
         assert not np.array_equal(a, b)
 
     def test_pair_sequences_bit_identical(self):
@@ -76,33 +80,58 @@ class TestDeterminism:
         assert (x1[0], y1[0]) != (x2[0], y2[0])
 
 
+def tiny_gamma(seed: int, shape: float, n: int) -> np.ndarray:
+    """Gamma(shape) draws through the log-space boost that sample_pairs uses below 0.02."""
+    return np.exp(_log_gamma_draws(RngState(seed).generator, shape, n))
+
+
+def central_moment_4(p: BetaParams) -> float:
+    m1, m2, m3, m4 = (p.raw_moment(k) for k in (1, 2, 3, 4))
+    return m4 - 4 * m3 * m1 + 6 * m2 * m1**2 - 3 * m1**4
+
+
 class TestGammaSample:
+    """Tiny shapes straight from the log-space boost; other shapes through
+    sample_pairs, whose gamma ratios have exact beta laws."""
+
     def test_zero_shape_is_constant_zero(self):
-        assert gamma_sample(RngState(1), 0.0) == 0.0
-        assert np.all(gamma_sample(RngState(1), 0.0, size=10) == 0.0)
+        """AN8 zero slots draw nothing and add exactly 0: the AN8 embedding of
+        OL+ reproduces OL+'s pairs bit for bit, on the linear and log paths."""
+        for alphas in ((2.0, 3.0, 1.5), (1e-3, 2.0, 1e-3)):
+            spec = FamilySpec.ol_plus(*alphas)
+            a = sample_pairs(RngState(1), spec, 10)
+            b = sample_pairs(RngState(1), an8_embedding(spec), 10)
+            assert np.array_equal(a, b)
 
     def test_negative_shape_rejected(self):
         with pytest.raises(ValueError):
-            gamma_sample(RngState(1), -1.0)
+            FamilySpec.an8(-1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            FamilySpec.independent(BetaParams(-1.0, 1.0), BetaParams(1.0, 1.0))
 
     def test_exponential_mean(self):
-        x = gamma_sample(RngState(21), 1.0, size=1_000_000)
-        assert abs(x.mean() - 1.0) < 0.005
+        """Shape-1 and shape-2 draws: X = U1/(U1+U2) ~ B(1, 2), at 5 SE."""
+        n, p = 1_000_000, BetaParams(1.0, 2.0)
+        x, _ = sample_pairs(RngState(21), FamilySpec.independent(p, p), n)
+        assert abs(x.mean() - p.mean) < 5 * math.sqrt(p.variance / n)
 
     def test_shape_five_variance(self):
-        x = gamma_sample(RngState(22), 5.0, size=1_000_000)
-        assert abs(x.var() - 5.0) < 0.05
+        """Shape-5 and shape-1 draws: X = U1/(U1+U2) ~ B(5, 1), variance at 5.59 SE."""
+        n, p = 1_000_000, BetaParams(5.0, 1.0)
+        x, _ = sample_pairs(RngState(22), FamilySpec.independent(p, p), n)
+        se = math.sqrt((central_moment_4(p) - p.variance**2) / n)
+        assert abs(x.var() - p.variance) < 5.59 * se
 
     def test_tiny_shape_mean(self):
         shape = 1e-4
-        x = gamma_sample(RngState(23), shape, size=1_000_000)
+        x = tiny_gamma(23, shape, 1_000_000)
         se = math.sqrt(shape / 1_000_000)  # gamma variance equals the shape
         assert abs(x.mean() - shape) < 3 * se
 
     def test_tiny_shape_distribution_against_incomplete_gamma(self):
         """Tail masses match Q(shape, t) = Gamma(shape, t)/Gamma(shape)."""
         shape, n = 1e-4, 1_000_000
-        x = gamma_sample(RngState(24), shape, size=n)
+        x = tiny_gamma(24, shape, n)
         for t in (1e-6, 1e-3, 0.01, 0.1, 0.5, 1.0):
             q = float(sp_special.gammaincc(shape, t))
             se = math.sqrt(q * (1 - q) / n)
@@ -111,7 +140,7 @@ class TestGammaSample:
     def test_tiny_shape_against_rejection_oracle(self):
         """Library draws and an independent GS rejection sampler agree in law."""
         shape, n = 1e-4, 120_000
-        ours = gamma_sample(RngState(25), shape, size=n)
+        ours = tiny_gamma(25, shape, n)
         ref = reference_small_shape_gamma(np.random.default_rng(26), shape, n)
         for t in (1e-3, 0.05, 0.5):
             p_ours = (ours > t).mean()

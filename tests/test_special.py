@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy import stats as sp_stats
 
-from bibeta.families import FamilySpec
-from bibeta.special import BetaParams, beta2_pdf, beta_pdf, log_beta, std_normal_cdf
+from bibeta.families import FamilySpec, closed_form_logpdf, complement, marginal_params
+from bibeta.special import BetaParams, log_beta, std_normal_cdf
 
 # ln Gamma(10.1) to 25 significant digits, frozen from a high-precision
 # evaluation made before this implementation existed
@@ -107,11 +108,13 @@ class TestBetaParams:
     def test_raw_moment_against_quadrature(self):
         p = BetaParams(2.5, 1.5)
         for k in range(1, 5):
-            val, _ = integrate.quad(lambda x: x**k * beta_pdf(x, p), 0.0, 1.0)
+            val, _ = integrate.quad(lambda x: x**k * sp_stats.beta.pdf(x, p.a, p.b), 0.0, 1.0)
             assert p.raw_moment(k) == pytest.approx(val, rel=1e-9)
 
     def test_swapped(self):
-        assert BetaParams(2.0, 5.0).swapped() == BetaParams(5.0, 2.0)
+        """X ~ B(a, b) implies 1-X ~ B(b, a)."""
+        spec = FamilySpec.independent(BetaParams(2.0, 5.0), BetaParams(1.0, 1.0))
+        assert marginal_params(complement(spec, "x"))[0] == BetaParams(5.0, 2.0)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_rejects_non_finite(self, bad):
@@ -124,55 +127,67 @@ class TestBetaParams:
 PARAM_GRID = [0.3, 1.0, 3.0, 10.1]
 
 
+def beta_density(x, p):
+    """B(a, b) density at x: the indep closed form with a uniform second coordinate.
+
+    closed_form_logpdf's contract is the open square, so endpoints give the
+    IEEE value of the formula: 0 or inf where the exponent decides it, NaN
+    where a zero exponent meets log 0, NaN outside [0, 1].
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.exp(closed_form_logpdf(FamilySpec.independent(p, BetaParams(1, 1)), x, 0.5))
+
+
+def beta2_density(v, p):
+    """Beta-of-the-second-kind density through v = x/(1-x): f_B(v/(1+v))/(1+v)^2."""
+    return beta_density(v / (1.0 + v), p) / (1.0 + v) ** 2
+
+
 class TestBetaPdf:
     def test_uniform(self):
-        assert beta_pdf(0.3, BetaParams(1, 1)) == pytest.approx(1.0, rel=1e-14)
+        assert beta_density(0.3, BetaParams(1, 1)) == pytest.approx(1.0, rel=1e-14)
 
     def test_symmetric_two_two(self):
-        assert beta_pdf(0.5, BetaParams(2, 2)) == pytest.approx(1.5, rel=1e-13)
+        assert beta_density(0.5, BetaParams(2, 2)) == pytest.approx(1.5, rel=1e-13)
 
     @pytest.mark.parametrize("a", PARAM_GRID)
     @pytest.mark.parametrize("b", PARAM_GRID)
     def test_normalization(self, a, b):
-        val, err = integrate.quad(lambda x: beta_pdf(x, BetaParams(a, b)), 0.0, 1.0, limit=200)
+        val, err = integrate.quad(lambda x: beta_density(x, BetaParams(a, b)), 0.0, 1.0, limit=200)
         assert val == pytest.approx(1.0, abs=1e-6)
 
     def test_endpoints(self):
-        assert beta_pdf(0.0, BetaParams(3, 0.3)) == 0.0
-        assert beta_pdf(1.0, BetaParams(2, 2)) == 0.0
-        assert beta_pdf(0.0, BetaParams(1, 2)) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            beta_pdf(1.0, BetaParams(3, 0.3))  # unbounded limit
-        with pytest.raises(ValueError):
-            beta_pdf(1.2, BetaParams(2, 2))
-        with pytest.raises(ValueError):
-            beta_pdf(-0.1, BetaParams(2, 2))
+        assert beta_density(0.0, BetaParams(3, 0.3)) == 0.0
+        assert beta_density(1.0, BetaParams(2, 2)) == 0.0
+        # a zero exponent: the finite limit is reached just inside the square
+        assert beta_density(1e-300, BetaParams(1, 2)) == pytest.approx(2.0)
+        assert beta_density(1.0, BetaParams(3, 0.3)) == np.inf  # unbounded limit
+        assert np.isnan(beta_density(1.2, BetaParams(2, 2)))
+        assert np.isnan(beta_density(-0.1, BetaParams(2, 2)))
 
 
 class TestBeta2Pdf:
     def test_at_zero_uniform_shapes(self):
-        assert beta2_pdf(0.0, BetaParams(1, 1)) == pytest.approx(1.0, rel=1e-14)
+        assert beta2_density(1e-300, BetaParams(1, 1)) == pytest.approx(1.0, rel=1e-14)
 
     def test_at_one_uniform_shapes(self):
-        assert beta2_pdf(1.0, BetaParams(1, 1)) == pytest.approx(0.25, rel=1e-14)
+        assert beta2_density(1.0, BetaParams(1, 1)) == pytest.approx(0.25, rel=1e-14)
 
     def test_closed_point(self):
         # Gamma(5)/(Gamma(3)Gamma(2)) * 2^2 * 3^-5 = 48/243
-        assert beta2_pdf(2.0, BetaParams(3, 2)) == pytest.approx(48.0 / 243.0, rel=1e-13)
+        assert beta2_density(2.0, BetaParams(3, 2)) == pytest.approx(48.0 / 243.0, rel=1e-13)
 
     @pytest.mark.parametrize("a", PARAM_GRID)
     @pytest.mark.parametrize("b", PARAM_GRID)
     def test_normalization(self, a, b):
         val, err = integrate.quad(
-            lambda x: beta2_pdf(x, BetaParams(a, b)), 0.0, np.inf, limit=400
+            lambda x: beta2_density(x, BetaParams(a, b)), 0.0, np.inf, limit=400
         )
         assert val == pytest.approx(1.0, abs=1e-6)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            beta2_pdf(-0.5, BetaParams(1, 1))
-        with pytest.raises(ValueError):
-            beta2_pdf(0.0, BetaParams(0.5, 1))  # unbounded at 0
+        assert np.isnan(beta2_density(-0.5, BetaParams(1, 1)))
+        assert beta2_density(0.0, BetaParams(0.5, 1)) == np.inf  # unbounded at 0
 
 
 class TestStdNormalCdf:
