@@ -62,21 +62,9 @@ def _parse_beta(text: str, what: str) -> BetaParams:
     return BetaParams(values[0], values[1])
 
 
-def _family_from_flags(
-    variant: Optional[str],
-    alphas: Optional[str],
-    beta1: Optional[str],
-    beta2: Optional[str],
-    prefix: str = "--",
-) -> FamilySpec:
+def _family_from_flags(variant: Optional[str], alphas: Optional[str], prefix: str = "--") -> FamilySpec:
     if variant is None:
         raise CliError(f"missing {prefix}family")
-    if variant == families.INDEPENDENT:
-        if beta1 is None or beta2 is None:
-            raise CliError(f"family 'indep' needs {prefix}beta1 and {prefix}beta2")
-        return FamilySpec.independent(
-            _parse_beta(beta1, f"{prefix}beta1"), _parse_beta(beta2, f"{prefix}beta2")
-        )
     if alphas is None:
         raise CliError(f"family {variant!r} needs {prefix}alphas")
     return FamilySpec(variant, tuple(_parse_floats(alphas, f"{prefix}alphas")))
@@ -101,7 +89,7 @@ def _meta(args: argparse.Namespace, keys: Sequence[str]) -> dict:
 
 
 def _cmd_sample(args: argparse.Namespace) -> None:
-    family = _family_from_flags(args.family, args.alphas, args.beta1, args.beta2)
+    family = _family_from_flags(args.family, args.alphas)
     if args.n < 0:
         raise CliError(f"--n must be >= 0, got {args.n}")
     rng = RngState(args.seed, args.stream)
@@ -109,21 +97,19 @@ def _cmd_sample(args: argparse.Namespace) -> None:
     if args.format == "csv":
         _emit(csv_text(["x", "y"], zip(x.tolist(), y.tolist())), args.out)
     else:
-        meta = _meta(args, ["family", "alphas", "beta1", "beta2", "n", "seed", "stream"])
+        meta = _meta(args, ["family", "alphas", "n", "seed", "stream"])
         _emit(json_text(meta, {"x": x.tolist(), "y": y.tolist()}), args.out)
 
 
 def _cmd_density(args: argparse.Namespace) -> None:
-    family = _family_from_flags(args.family, args.alphas, args.beta1, args.beta2)
+    family = _family_from_flags(args.family, args.alphas)
     rng = RngState(args.seed, args.stream)
     grid = density_grid(family, m=args.m, n_samples=args.mc_samples, rng=rng)
     _emit(grid.to_csv() if args.format == "csv" else grid.to_json(), args.out)
 
 
 def _cmd_posterior(args: argparse.Namespace) -> None:
-    prior_family = _family_from_flags(
-        args.prior_family, args.prior_alphas, args.prior_beta1, args.prior_beta2, "--prior-"
-    )
+    prior_family = _family_from_flags(args.prior_family, args.prior_alphas, "--prior-")
     prior = PriorSpec(prior_family, _parse_beta(args.pi_prior, "--pi-prior"))
     rng = RngState(args.seed, args.stream)
     truth = None
@@ -207,12 +193,12 @@ def _closure_oracle(family: FamilySpec, flipped: FamilySpec, which: str) -> dict
 
 
 def _cmd_closure_check(args: argparse.Namespace) -> None:
-    family = _family_from_flags(args.family, args.alphas, args.beta1, args.beta2)
+    family = _family_from_flags(args.family, args.alphas)
     flipped = complement(family, args.which)
     back = complement(flipped, args.which)
     checks = _closure_oracle(family, flipped, args.which)
     passed = all(abs(a - b) <= tol for a, b, tol in checks.values())
-    meta = _meta(args, ["family", "alphas", "beta1", "beta2", "which"])
+    meta = _meta(args, ["family", "alphas", "which"])
     data = {
         "complement": flipped.label(),
         "double_complement": back.label(),
@@ -236,9 +222,9 @@ def _cmd_closure_check(args: argparse.Namespace) -> None:
 def _add_family_flags(p: argparse.ArgumentParser, prefix: str = "") -> None:
     dash = f"--{prefix}" if prefix else "--"
     p.add_argument(f"{dash}family", choices=sorted(families.VARIANTS), default=None)
-    p.add_argument(f"{dash}alphas", default=None, help="comma-separated alpha vector")
-    p.add_argument(f"{dash}beta1", default=None, help="a,b of the first marginal (indep)")
-    p.add_argument(f"{dash}beta2", default=None, help="a,b of the second marginal (indep)")
+    p.add_argument(
+        f"{dash}alphas", default=None, help="comma-separated alpha vector (indep: a_x,b_x,a_y,b_y)"
+    )
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

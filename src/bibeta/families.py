@@ -117,8 +117,6 @@ class FamilySpec:
         return self.variant in CLOSED_FORM_VARIANTS
 
     def label(self) -> str:
-        if self.variant == INDEPENDENT:
-            return "indep[{},{}]".format(*marginal_params(self))
         body = ",".join(f"{a:g}" for a in self.alphas)
         return f"{self.variant}({body})"
 

@@ -15,8 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import families
-from .families import FamilySpec, closed_form_logpdf, marginal_params
+from .families import FamilySpec, closed_form_logpdf
 from .sampling import RngState, sample_pairs
 from .serialize import csv_text, json_text
 
@@ -53,17 +52,14 @@ class DensityGrid:
         return csv_text(header, self.cells.tolist())
 
     def to_json(self) -> str:
-        indep = self.family is not None and self.family.variant == families.INDEPENDENT
         meta = {
             "variant": self.family.variant if self.family else None,
-            "alphas": list(self.family.alphas) if self.family and not indep else None,
+            "alphas": list(self.family.alphas) if self.family else None,
             "m": self.m,
             "n_samples": self.n_samples,
             "seed": list(self.seed) if self.seed else None,
             "estimated": self.estimated,
         }
-        if indep:
-            meta["beta_x"], meta["beta_y"] = ([p.a, p.b] for p in marginal_params(self.family))
         return json_text(meta, {"cells": self.cells.tolist()})
 
 

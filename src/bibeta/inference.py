@@ -21,8 +21,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import families
-from .families import FamilySpec, closed_form_logpdf, marginal_params
+from .families import FamilySpec, closed_form_logpdf
 from .grids import DEFAULT_GRID_SAMPLES, density_grid, grid_midpoints
 from .sampling import RngState
 from .special import BetaParams
@@ -91,19 +90,14 @@ class GridPosterior:
 
     def to_json(self, seed: Optional[Tuple[int, int]] = None) -> str:
         prior, family = self.prior, self.prior.eta_theta_prior
-        indep = family.variant == families.INDEPENDENT
         meta = {
             "m": self.m,
             "data": {"n": self.data.n, "n1": self.data.n1, "k1": self.data.k1, "k2": self.data.k2},
             "prior_variant": family.variant,
-            "prior_alphas": None if indep else list(family.alphas),
+            "prior_alphas": list(family.alphas),
             "pi_prior": [prior.pi_prior.a, prior.pi_prior.b],
             "seed": list(seed) if seed else None,
         }
-        if indep:
-            meta["prior_beta_eta"], meta["prior_beta_theta"] = (
-                [p.a, p.b] for p in marginal_params(family)
-            )
         data = {
             "eta_axis": self.eta_axis.tolist(),
             "theta_axis": self.theta_axis.tolist(),

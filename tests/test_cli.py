@@ -72,7 +72,7 @@ class TestDensity:
     def test_uniform_grid_all_ones(self, capsys):
         rc, out, _ = run(
             capsys,
-            "density", "--family", "indep", "--beta1", "1,1", "--beta2", "1,1", "--m", "10",
+            "density", "--family", "indep", "--alphas", "1,1,1,1", "--m", "10",
         )
         assert rc == 0
         _, rows = parse_csv(out)
@@ -99,19 +99,18 @@ class TestDensity:
     def test_indep_json_metadata(self, capsys):
         rc, out, _ = run(
             capsys,
-            "density", "--family", "indep", "--beta1", "2,3", "--beta2", "1,4",
+            "density", "--family", "indep", "--alphas", "2,3,1,4",
             "--m", "4", "--format", "json",
         )
         assert rc == 0
         meta = json.loads(out)["meta"]
         assert meta["variant"] == "indep"
-        assert meta["alphas"] is None
-        assert meta["beta_x"] == [2.0, 3.0]
-        assert meta["beta_y"] == [1.0, 4.0]
+        assert meta["alphas"] == [2.0, 3.0, 1.0, 4.0]
+        assert not {"beta_x", "beta_y"} & set(meta)
 
     def test_infinite_beta_shape_rejected(self, capsys):
         rc, out, err = run(
-            capsys, "density", "--family", "indep", "--beta1", "inf,1", "--beta2", "1,1"
+            capsys, "density", "--family", "indep", "--alphas", "inf,1,1,1"
         )
         assert rc == 2
         assert out == ""
@@ -125,7 +124,7 @@ class TestPosterior:
         rc, _, _ = run(
             capsys,
             "posterior", "--data", "0,0,0,0",
-            "--prior-family", "indep", "--prior-beta1", "10,5", "--prior-beta2", "5,2.5",
+            "--prior-family", "indep", "--prior-alphas", "10,5,5,2.5",
             "--m", "40", "--seed", "3", "--out", str(out),
         )
         assert rc == 0
@@ -133,7 +132,7 @@ class TestPosterior:
         weights = np.array(wrows)
         rc, dens_out, _ = run(
             capsys,
-            "density", "--family", "indep", "--beta1", "10,5", "--beta2", "5,2.5", "--m", "40",
+            "density", "--family", "indep", "--alphas", "10,5,5,2.5", "--m", "40",
         )
         _, drows = parse_csv(dens_out)
         cells = np.array(drows)
@@ -161,7 +160,7 @@ class TestPosterior:
         rc, _, err = run(
             capsys,
             "posterior", "--data", "0,0,0,0",
-            "--prior-family", "indep", "--prior-beta1", "1,1", "--prior-beta2", "1,1",
+            "--prior-family", "indep", "--prior-alphas", "1,1,1,1",
         )
         assert rc == 2
         assert "--out" in json.loads(err.strip())["error"]
@@ -170,7 +169,7 @@ class TestPosterior:
         rc, _, err = run(
             capsys,
             "posterior", "--data", "10,5,6,0",
-            "--prior-family", "indep", "--prior-beta1", "1,1", "--prior-beta2", "1,1",
+            "--prior-family", "indep", "--prior-alphas", "1,1,1,1",
             "--out", str(tmp_path / "x"),
         )
         assert rc == 2
@@ -181,7 +180,7 @@ class TestPosterior:
         rc, out, err = run(
             capsys,
             "posterior", "--data", data,
-            "--prior-family", "indep", "--prior-beta1", "1,1", "--prior-beta2", "1,1",
+            "--prior-family", "indep", "--prior-alphas", "1,1,1,1",
             "--out", str(tmp_path / "x"),
         )
         assert rc == 2
@@ -194,15 +193,14 @@ class TestPosterior:
         rc, _, _ = run(
             capsys,
             "posterior", "--data", "10,5,3,2",
-            "--prior-family", "indep", "--prior-beta1", "2,3", "--prior-beta2", "1,4",
+            "--prior-family", "indep", "--prior-alphas", "2,3,1,4",
             "--m", "10", "--out", str(out),
         )
         assert rc == 0
         meta = json.loads((tmp_path / "post.grid.json").read_text())["meta"]
         assert meta["prior_variant"] == "indep"
-        assert meta["prior_alphas"] is None
-        assert meta["prior_beta_eta"] == [2.0, 3.0]
-        assert meta["prior_beta_theta"] == [1.0, 4.0]
+        assert meta["prior_alphas"] == [2.0, 3.0, 1.0, 4.0]
+        assert not {"prior_beta_eta", "prior_beta_theta"} & set(meta)
 
 
 class TestTables:
@@ -291,8 +289,8 @@ class TestClosureCheck:
         )
         assert rc == 0
         doc = json.loads(out)
-        assert doc["data"]["complement"] == "indep[B(3,2),B(1,4)]"
-        assert doc["data"]["double_complement"] == "indep[B(2,3),B(1,4)]"
+        assert doc["data"]["complement"] == "indep(3,2,1,4)"
+        assert doc["data"]["double_complement"] == "indep(2,3,1,4)"
         assert doc["data"]["involution"] is True
         assert doc["data"]["oracle_passed"] is True
 
@@ -311,12 +309,13 @@ class TestClosureCheck:
     def test_indep_meta_records_marginals(self, capsys):
         rc, out, _ = run(
             capsys,
-            "closure-check", "--family", "indep", "--beta1", "2,3", "--beta2", "1,4", "--which", "y",
+            "closure-check", "--family", "indep", "--alphas", "2,3,1,4", "--which", "y",
         )
         assert rc == 0
         doc = json.loads(out)
-        assert doc["meta"]["beta1"] == "2,3" and doc["meta"]["beta2"] == "1,4"
-        assert doc["data"]["complement"] == "indep[B(2,3),B(4,1)]"
+        assert doc["meta"]["alphas"] == "2,3,1,4"
+        assert not {"beta1", "beta2"} & set(doc["meta"])
+        assert doc["data"]["complement"] == "indep(2,3,4,1)"
         assert doc["data"]["oracle_passed"] is True
 
     def test_an5_reports_not_closed(self, capsys):
@@ -361,29 +360,41 @@ class TestUsageErrors:
     """argparse usage errors follow the JSON error contract: rc 2, one JSON line."""
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, named",
         [
-            ("sample", "--n", "abc"),
-            ("sample", "--family", "not-a-family"),
-            ("sample", "--family", "ol-plus", "--alphas", "1,1,1", "--no-such-flag"),
-            ("tables", "--table", "4", "--format", "json"),
-            ("posterior", "--data", "0,0,0,0", "--prior-family", "indep", "--prior-beta1", "1,1",
-             "--prior-beta2", "1,1", "--out", "unused", "--format", "json"),
-            ("closure-check", "--family", "ol-plus", "--alphas", "1,1,1", "--format", "json"),
-            ("closure-check", "--family", "ol-plus", "--alphas", "1,1,1", "--mc-samples", "1000"),
+            (("sample", "--n", "abc"), "--n"),
+            (("sample", "--family", "not-a-family"), "--family"),
+            (("sample", "--family", "ol-plus", "--alphas", "1,1,1", "--no-such-flag"),
+             "--no-such-flag"),
+            (("tables", "--table", "4", "--format", "json"), "--format"),
+            (("posterior", "--data", "0,0,0,0", "--prior-family", "indep", "--prior-alphas",
+              "1,1,1,1", "--out", "unused", "--format", "json"), "--format"),
+            (("closure-check", "--family", "ol-plus", "--alphas", "1,1,1", "--format", "json"),
+             "--format"),
+            (("closure-check", "--family", "ol-plus", "--alphas", "1,1,1", "--mc-samples", "1000"),
+             "--mc-samples"),
+            (("sample", "--family", "indep", "--beta1", "1,1"), "--beta1"),
+            (("density", "--family", "indep", "--beta1", "1,1"), "--beta1"),
+            (("closure-check", "--family", "indep", "--beta1", "1,1"), "--beta1"),
+            (("posterior", "--data", "0,0,0,0", "--prior-family", "indep", "--prior-beta1", "1,1",
+              "--out", "unused"), "--prior-beta1"),
+            (("sample", "--family", "indep", "--alphas", "1,1,1"), "4 alphas"),
         ],
         ids=[
             "bad_int", "bad_choice", "unknown_flag",
             "format_on_tables", "format_on_posterior", "format_on_closure_check",
             "mc_samples_on_closure_check",
+            "beta1_on_sample", "beta1_on_density", "beta1_on_closure_check",
+            "prior_beta1_on_posterior", "indep_three_alphas",
         ],
     )
-    def test_usage_error_is_json(self, capsys, argv):
+    def test_usage_error_is_json(self, capsys, argv, named):
+        """The error names the offending flag, so a case cannot pass on an earlier error."""
         rc, out, err = run(capsys, *argv)
         assert rc == 2
         assert out == ""
         assert len(err.strip().split("\n")) == 1
-        assert json.loads(err)["error"]
+        assert named in json.loads(err)["error"]
 
     def test_bad_config_value_is_json(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

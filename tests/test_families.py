@@ -1,5 +1,6 @@
 """Family specs, closed-form OL densities, and closure under complementation."""
 
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -28,6 +29,8 @@ from bibeta.families import (
     product_moment,
     ratio_axes,
 )
+from bibeta.grids import MIN_ESTIMATED_SAMPLES, density_grid
+from bibeta.inference import DiagnosticData, PriorSpec, joint_posterior
 from bibeta.sampling import RngState, estimate_moments, sample_pairs
 from bibeta.special import BetaParams
 
@@ -122,7 +125,7 @@ class TestFamilySpec:
     def test_independent_is_an_alpha_vector(self):
         spec = FamilySpec.independent(BetaParams(2, 3), BetaParams(1, 4))
         assert spec == FamilySpec(INDEPENDENT, (2, 3, 1, 4))
-        assert spec.label() == "indep[B(2,3),B(1,4)]"
+        assert spec.label() == "indep(2,3,1,4)"
 
 
 class TestMarginalParams:
@@ -525,3 +528,34 @@ class TestClosureOracle:
         assert sorted(checks) == ["correlation", "mean_x", "mean_y"]
         for original, returned, tol in checks.values():
             assert abs(original - returned) <= tol
+
+
+# closed_specs covers OL, AN8 and indep; AN5 vectors complete the variants
+ANY_SPEC = st.one_of(
+    closed_specs(POSITIVE), st.tuples(*[POSITIVE] * 5).map(lambda a: FamilySpec.an5(*a))
+)
+
+
+class TestJsonRoundTrip:
+    """Every JSON output names its family as (variant, alphas), enough to rebuild it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(ANY_SPEC)
+    @example(INDEP)
+    @example(AN8_VECTOR)
+    def test_density_meta_rebuilds_spec(self, spec):
+        grid = density_grid(spec, m=2, n_samples=MIN_ESTIMATED_SAMPLES, rng=RngState(150))
+        meta = json.loads(grid.to_json())["meta"]
+        assert FamilySpec(meta["variant"], meta["alphas"]) == spec
+
+    @settings(max_examples=40, deadline=None)
+    @given(ANY_SPEC)
+    @example(INDEP)
+    @example(AN8_VECTOR)
+    def test_posterior_meta_rebuilds_spec(self, spec):
+        gp = joint_posterior(
+            DiagnosticData(0, 0, 0, 0), PriorSpec(spec, BetaParams(1, 1)), m=10,
+            rng=RngState(151), prior_samples=MIN_ESTIMATED_SAMPLES,
+        )
+        meta = json.loads(gp.to_json())["meta"]
+        assert FamilySpec(meta["prior_variant"], meta["prior_alphas"]) == spec
