@@ -74,7 +74,10 @@ def _emit(text: str, out: Optional[str]) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        write_text(out, text)
+        try:
+            write_text(out, text)
+        except OSError as exc:
+            raise CliError(f"could not write {out!r}: {exc.strerror or exc}") from None
 
 
 def _meta(args: argparse.Namespace, keys: Sequence[str]) -> dict:

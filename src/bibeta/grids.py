@@ -6,17 +6,23 @@ densities unbounded.  Closed-form families are evaluated exactly and then
 rescaled by the midpoint-rule mass (a factor 1 + O(1/m^2)) so every grid
 integrates to one; AN5/AN8 grids are Monte Carlo histograms, counts scaled
 by m^2 / n_samples, which integrate to one by construction.
+
+The histogram is numpy's 2-D histogram on m equal bins of [0, 1], count
+for count: each block of pairs is binned by an exact cell index (floor(c m),
+corrected once against the same np.linspace edges) as it is assembled, and
+the blocks' bincounts are summed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .families import FamilySpec, closed_form_logpdf
-from .sampling import RngState, sample_pairs
+from .sampling import RngState, pair_blocks
 from .serialize import csv_text, json_text
 
 MIN_ESTIMATED_SAMPLES = 10_000
@@ -26,6 +32,31 @@ DEFAULT_GRID_SAMPLES = 10_000_000
 
 def grid_midpoints(m: int) -> np.ndarray:
     return (np.arange(m) + 0.5) / m
+
+
+def _cell_index(c: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The bin k of each c in [0, 1] with edges[k] <= c < edges[k+1]; 1.0 falls in the last bin.
+
+    floor(c m) is at most one bin off that comparison, so one correction
+    each way makes it the bin a search of the edges finds.
+    """
+    m = edges.size - 1
+    k = np.clip(np.floor(c * m), 0, m - 1).astype(np.intp)
+    k -= c < edges[k]
+    k += (c >= edges[k + 1]) & (k < m - 1)
+    return k
+
+
+def _cell_counts(x: np.ndarray, y: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Flat row-major counts of numpy's 2-D histogram of (x, y) on these edges over [0, 1]^2.
+
+    Pairs with a NaN or a coordinate outside [0, 1] are dropped, as numpy drops them.
+    """
+    m = edges.size - 1
+    inside = (x >= 0.0) & (x <= 1.0) & (y >= 0.0) & (y <= 1.0)
+    if not inside.all():
+        x, y = x[inside], y[inside]
+    return np.bincount(_cell_index(x, edges) * m + _cell_index(y, edges), minlength=m * m)
 
 
 @dataclass(frozen=True)
@@ -74,7 +105,8 @@ def density_grid(
     Closed-form variants ignore n_samples and rng (estimated=False,
     n_samples=0).  AN5/AN8 need at least 10^4 samples and an RngState; the
     returned histogram bins n_samples draws into the cells, so its bias is
-    O(1/m) and no smoothing bandwidth enters.
+    O(1/m) and no smoothing bandwidth enters.  The counts are numpy's 2-D
+    histogram of the same draws, binned by exact cell index block by block.
     """
     if m < 2:
         raise ValueError(f"grid resolution m must be >= 2, got {m}")
@@ -94,9 +126,11 @@ def density_grid(
     if rng is None:
         raise ValueError(f"{family.variant} density estimation requires an RngState")
     seed = rng.identity
-    x, y = sample_pairs(rng, family, n_samples)
-    counts, _, _ = np.histogram2d(x, y, bins=m, range=[[0.0, 1.0], [0.0, 1.0]])
-    cells = counts * (m * m / n_samples)
+    edges = np.linspace(0.0, 1.0, m + 1)
+    counts = reduce(
+        np.add, pair_blocks(rng, family, n_samples, lambda lo, hi, x, y: _cell_counts(x, y, edges))
+    )
+    cells = counts.reshape(m, m) * (m * m / n_samples)
     return DensityGrid(
         m=m, cells=cells, estimated=True, n_samples=n_samples, family=family, seed=seed
     )

@@ -415,3 +415,28 @@ class TestUsageErrors:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("bibeta ")
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sample", "--family", "ol-minus", "--alphas", "10,2.5,5", "--n", "10"),
+            ("sample", "--family", "ol-minus", "--alphas", "10,2.5,5", "--n", "10", "--format", "json"),
+            ("density", "--family", "indep", "--alphas", "1,1,1,1", "--m", "5"),
+            ("posterior", "--data", "10,4,3,5", "--prior-family", "indep", "--prior-alphas", "1,1,1,1",
+             "--m", "10"),
+            ("tables", "--table", "4"),
+            ("closure-check", "--family", "ol-plus", "--alphas", "1,1,1"),
+        ],
+        ids=["sample", "sample_json", "density", "posterior", "tables", "closure_check"],
+    )
+    def test_missing_directory_is_json_error(self, capsys, tmp_path, argv):
+        """An --out that cannot be opened exits 2 with one JSON line naming the path, no traceback."""
+        out = tmp_path / "missing" / "result"
+        rc, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert rc == 2
+        assert stdout == ""
+        assert len(err.strip().split("\n")) == 1
+        assert str(tmp_path / "missing") in json.loads(err)["error"]
+        assert not (tmp_path / "missing").exists()

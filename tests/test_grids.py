@@ -4,11 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special as sp_special
 
+from bibeta import sampling
 from bibeta.families import FamilySpec, closed_form_logpdf
-from bibeta.grids import DensityGrid, density_grid, grid_midpoints
-from bibeta.sampling import RngState
+from bibeta.grids import DensityGrid, _cell_counts, density_grid, grid_midpoints
+from bibeta.sampling import RngState, sample_pairs
 from bibeta.special import BetaParams
 
 
@@ -133,6 +136,56 @@ class TestEstimatedGrids:
                     exp_counts[i, j] = mass * n
         resid = np.abs(counts - exp_counts) / np.sqrt(exp_counts + 1.0)
         assert float(resid.max()) <= 4.0
+
+
+BIN_COUNTS = (2, 3, 7, 100, 1000)
+
+
+def histogram2d_counts(x, y, m):
+    counts, _, _ = np.histogram2d(x, y, bins=m, range=[[0.0, 1.0], [0.0, 1.0]])
+    return counts
+
+
+def hard_values(m):
+    """0, 1, every bin edge and its +-1 ulp neighbours, NaN, infinities and values outside [0, 1]."""
+    edges = np.linspace(0.0, 1.0, m + 1)
+    odd = [np.nan, -0.0, -0.5, 1.5, np.inf, -np.inf, -5e-324, 1.0 + 2**-52]
+    return np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), odd])
+
+
+class TestExactBinning:
+    """_cell_counts is np.histogram2d on m equal bins of [0, 1], count for count."""
+
+    @pytest.mark.parametrize("m", BIN_COUNTS)
+    def test_every_edge_and_neighbour(self, m):
+        values = hard_values(m)
+        edges = np.linspace(0.0, 1.0, m + 1)
+        shuffled = np.random.default_rng(m).permutation(values)
+        for x, y in ((values, shuffled), (shuffled, values), (values, np.full(values.size, 0.5))):
+            got = _cell_counts(x, y, edges).reshape(m, m)
+            assert np.array_equal(got, histogram2d_counts(x, y, m))
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.sampled_from(BIN_COUNTS), data=st.data())
+    def test_matches_histogram2d(self, m, data):
+        value = st.one_of(
+            st.sampled_from(hard_values(m).tolist()),
+            st.floats(min_value=-0.25, max_value=1.25),
+        )
+        x = data.draw(st.lists(value, min_size=0, max_size=60))
+        y = data.draw(st.lists(value, min_size=len(x), max_size=len(x)))
+        x, y = np.array(x, dtype=float), np.array(y, dtype=float)
+        got = _cell_counts(x, y, np.linspace(0.0, 1.0, m + 1)).reshape(m, m)
+        assert np.array_equal(got, histogram2d_counts(x, y, m))
+
+    @pytest.mark.parametrize("m", [2, 37])
+    def test_grid_is_histogram2d_of_the_sampled_pairs(self, monkeypatch, m):
+        """Blocks binned apart and summed give histogram2d of the whole sample, byte for byte."""
+        monkeypatch.setattr(sampling, "BLOCK", 4096)
+        spec, n = FamilySpec.an5(5, 5, 5, 5, 1e-4), 3 * 4096 + 5
+        cells = density_grid(spec, m=m, n_samples=n, rng=RngState(67)).cells
+        x, y = sample_pairs(RngState(67), spec, n)
+        assert cells.tobytes() == (histogram2d_counts(x, y, m) * (m * m / n)).tobytes()
 
 
 class TestSerialization:

@@ -209,11 +209,26 @@ class TestJointPosterior:
         d = DiagnosticData(50, 20, 15, 25)
         rng = RngState(74)
         joint_posterior(d, AN5_PRIOR, m=20, rng=rng, prior_samples=10_000)
-        hits = inference._estimated_log_prior_grid.cache_info().hits
+        hits = inference._cached_log_prior_grid.cache_info().hits
         joint_posterior(d, AN5_PRIOR, m=20, rng=rng, prior_samples=10_000)
-        assert inference._estimated_log_prior_grid.cache_info().hits == hits + 1
+        assert inference._cached_log_prior_grid.cache_info().hits == hits + 1
         grid = inference._log_prior_grid(AN5_PRIOR.eta_theta_prior, 20, rng, 10_000)
         assert not grid.flags.writeable
+
+    def test_closed_form_prior_grid_is_cached_read_only(self):
+        """The exact prior is built once per (family, m) and reused byte for byte."""
+        import bibeta.inference as inference
+
+        family, m = OLM_PRIOR.eta_theta_prior, 37
+        first = joint_posterior(DiagnosticData(50, 20, 15, 25), OLM_PRIOR, m=m)
+        hits = inference._cached_log_prior_grid.cache_info().hits
+        again = joint_posterior(DiagnosticData(50, 20, 15, 25), OLM_PRIOR, m=m)
+        assert inference._cached_log_prior_grid.cache_info().hits == hits + 1
+        assert again.weights.tobytes() == first.weights.tobytes()
+        grid = inference._log_prior_grid(family, m, None, 0)
+        assert not grid.flags.writeable
+        mid = grid_midpoints(m)
+        assert grid.tobytes() == closed_form_logpdf(family, mid[:, None], mid[None, :]).tobytes()
 
     def test_degenerate_posterior_guard(self, monkeypatch):
         import bibeta.inference as inference

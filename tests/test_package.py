@@ -25,3 +25,12 @@ def test_cli_import_does_not_load_scipy():
     code = "import sys, bibeta, bibeta.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_does_not_load_thread_pool():
+    """concurrent.futures costs ~12 ms of CLI import; only block assembly loads it."""
+    src = os.path.dirname(os.path.dirname(bibeta.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, bibeta, bibeta.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

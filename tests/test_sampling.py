@@ -1,13 +1,22 @@
 """Sampler determinism, exactness at extreme shapes, and moment estimation."""
 
+import concurrent.futures
 import math
+import os
+import sys
+import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
 from scipy import special as sp_special
 
+from bibeta import families, sampling
 from bibeta.families import FamilySpec, an8_embedding
+from bibeta.grids import density_grid
 from bibeta.sampling import (
+    BLOCK,
+    LOG_SPACE_SHAPE,
     MomentEstimate,
     RngState,
     _log_gamma_draws,
@@ -254,3 +263,145 @@ class TestEstimateMoments:
             estimate_moments(FamilySpec.ol_plus(1, 1, 1), 1, RngState(1))
         with pytest.raises(ValueError):
             estimate_moments(FamilySpec.ol_plus(1, 1, 1), 100)
+
+
+def reference_pairs(rng: RngState, family: FamilySpec, n: int):
+    """Whole-array assembly, one ratio per coordinate over all n draws at once.
+
+    The block-parallel sampler must reproduce these bytes for any n and any
+    core count; the code is the single-threaded assembly it replaced.
+    """
+    shapes = family.alphas
+    gen = rng.generator
+    if any(0.0 < s < LOG_SPACE_SHAPE for s in shapes):
+        def log_gamma(s):
+            w = gen.standard_gamma(s + 1.0, size=n)
+            u = gen.random(n)
+            return np.log(w) + np.log(u) / s
+
+        neg_inf = np.full(n, -np.inf)
+        with np.errstate(divide="ignore"):
+            draws = [
+                neg_inf if s == 0.0 else (log_gamma(s) if s < LOG_SPACE_SHAPE else np.log(gen.standard_gamma(s, size=n)))
+                for s in shapes
+            ]
+
+        def ratio(num, rest):
+            top = reduce(np.logaddexp, num)
+            return np.exp(top - reduce(np.logaddexp, rest, top))
+    else:
+        draws = [np.zeros(n) if s == 0.0 else gen.standard_gamma(s, size=n) for s in shapes]
+
+        def ratio(num, rest):
+            top = reduce(np.add, num)
+            return top / reduce(np.add, rest, top)
+    coords = []
+    for num, rest, flipped in families.ratio_axes(family.variant):
+        c = ratio([draws[i] for i in num], [draws[i] for i in rest])
+        coords.append(1.0 - c if flipped else c)
+    return coords[0], coords[1]
+
+
+BLOCK_FAMILIES = {
+    "ol_plus": FamilySpec.ol_plus(2, 3, 1.5),
+    "ol_minus": FamilySpec.ol_minus(10, 2.5, 5),
+    "ol_star": FamilySpec.ol_star(3, 1, 1),
+    "ol_minus_log": FamilySpec.ol_minus(1e-3, 2, 1e-3),
+    "ol_star_log": FamilySpec.ol_star(1e-4, 1e-4, 3),
+    "an5_log": FamilySpec.an5(5, 5, 5, 5, 1e-4),
+    "an5_all_tiny": FamilySpec.an5(*[1e-4] * 5),
+    "an8": FamilySpec.an8(1, 2, 3, 4, 5, 6, 7, 8),
+    "an8_zeros": FamilySpec.an8(10, 0, 0, 2.5, 0, 0, 0, 5),
+    "an8_zeros_log": FamilySpec.an8(1e-3, 0, 2, 0, 0, 1, 0, 3),
+    "indep_log": FamilySpec(families.INDEPENDENT, (2, 3, 1e-4, 4)),
+}
+# a small block keeps the many-block cases cheap; one test runs at BLOCK itself
+SMALL_BLOCK = 1024
+
+
+class TestBlockAssembly:
+    def test_every_variant_is_covered(self):
+        assert {f.variant for f in BLOCK_FAMILIES.values()} == families.VARIANTS
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_FAMILIES))
+    def test_pairs_equal_whole_array_assembly(self, monkeypatch, name):
+        family, b = BLOCK_FAMILIES[name], SMALL_BLOCK
+        monkeypatch.setattr(sampling, "BLOCK", b)
+        for n in (0, 1, b - 1, b, b + 1, 3 * b + 5):
+            x, y = sample_pairs(RngState(81, 2), family, n)
+            rx, ry = reference_pairs(RngState(81, 2), family, n)
+            assert x.dtype == rx.dtype and x.shape == rx.shape == (n,)
+            assert x.tobytes() == rx.tobytes() and y.tobytes() == ry.tobytes(), n
+
+    def test_pairs_equal_whole_array_assembly_at_block_size(self):
+        family, n = BLOCK_FAMILIES["an5_log"], 3 * BLOCK + 5
+        x, y = sample_pairs(RngState(85), family, n)
+        rx, ry = reference_pairs(RngState(85), family, n)
+        assert x.tobytes() == rx.tobytes() and y.tobytes() == ry.tobytes()
+
+    @pytest.mark.parametrize("name", ["an5_log", "an8_zeros"])
+    def test_one_core_gives_the_same_bytes(self, monkeypatch, name):
+        """One core runs every block inline, without a pool, to the default run's bytes."""
+        pools = []
+
+        class CountedPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
+        family, n = BLOCK_FAMILIES[name], 3 * 4096 + 5
+        monkeypatch.setattr(sampling, "BLOCK", 4096)
+        pairs = sample_pairs(RngState(82), family, n)
+        cells = density_grid(family, m=50, n_samples=n, rng=RngState(83)).cells
+        pooled = 2 if len(os.sched_getaffinity(0)) > 1 else 0
+        assert len(pools) == pooled
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        one_x, one_y = sample_pairs(RngState(82), family, n)
+        assert one_x.tobytes() == pairs[0].tobytes() and one_y.tobytes() == pairs[1].tobytes()
+        assert density_grid(family, m=50, n_samples=n, rng=RngState(83)).cells.tobytes() == cells.tobytes()
+        assert len(pools) == pooled
+
+    def test_log_transforms_take_zero_draws_silently_on_a_thread(self):
+        """A gamma draw that underflows to 0 has log -inf, as at one thread, with no warning."""
+        g, w, u = np.array([0.0, 1.0]), np.array([0.0, 2.0]), np.array([0.5, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with concurrent.futures.ThreadPoolExecutor(2) as pool:
+                pool.submit(sampling._log_in_place, g).result()
+                pool.submit(sampling._boost_log_in_place, w, u, 1e-4).result()
+        assert g.tolist() == [-np.inf, 0.0]
+        assert w.tolist() == [-np.inf, -np.inf]
+
+    def test_more_workers_than_cores(self, monkeypatch):
+        """Four threads on fewer cores, switching often, still fill every slot exactly once."""
+        monkeypatch.setattr(sampling, "BLOCK", 512)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        family, n = BLOCK_FAMILIES["an5_log"], 40 * 512 + 3
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            x, y = sample_pairs(RngState(86), family, n)
+        finally:
+            sys.setswitchinterval(interval)
+        rx, ry = reference_pairs(RngState(86), family, n)
+        assert x.tobytes() == rx.tobytes() and y.tobytes() == ry.tobytes()
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            FamilySpec.an5(5, 5, 5, 5, 1e-4),
+            FamilySpec.an5(*[1e-4] * 5),
+            FamilySpec.an8(*[1e-4] * 8),
+            FamilySpec.an8(0.05, 0, 0.05, 0.05, 0, 0, 0.05, 0.05),
+            BLOCK_FAMILIES["an8_zeros_log"],
+        ],
+        ids=["an5_log", "an5_all_tiny", "an8_all_tiny", "an8_small_zeros", "an8_zeros_log"],
+    )
+    def test_no_warning_escapes_a_worker(self, monkeypatch, family):
+        """Worker threads do not inherit np.errstate; the log transforms set their own."""
+        monkeypatch.setattr(sampling, "BLOCK", 4096)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sample_pairs(RngState(84), family, 20_000)
+            density_grid(family, m=20, n_samples=20_000, rng=RngState(84))
