@@ -16,7 +16,6 @@ the blocks' bincounts are summed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Optional, Tuple
 
 import numpy as np
@@ -127,9 +126,10 @@ def density_grid(
         raise ValueError(f"{family.variant} density estimation requires an RngState")
     seed = rng.identity
     edges = np.linspace(0.0, 1.0, m + 1)
-    counts = reduce(
-        np.add, pair_blocks(rng, family, n_samples, lambda lo, hi, x, y: _cell_counts(x, y, edges))
-    )
+    blocks = pair_blocks(rng, family, n_samples, lambda lo, hi, x, y: _cell_counts(x, y, edges))
+    counts = next(blocks)
+    for block_counts in blocks:
+        counts += block_counts
     cells = counts.reshape(m, m) * (m * m / n_samples)
     return DensityGrid(
         m=m, cells=cells, estimated=True, n_samples=n_samples, family=family, seed=seed

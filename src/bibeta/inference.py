@@ -113,27 +113,33 @@ def pi_posterior(d: DiagnosticData, prior: BetaParams) -> BetaParams:
 
 def _log_prior_grid(family: FamilySpec, m: int, rng: Optional[RngState], n_samples: int) -> np.ndarray:
     if family.has_closed_form:
-        return _cached_log_prior_grid(family, m)
+        return _closed_form_log_prior_grid(family, m)
     if rng is None:
         raise ValueError(f"a {family.variant} prior needs an RngState for its density grid")
-    return _cached_log_prior_grid(family, m, n_samples, rng.seed, rng.stream)
+    return _estimated_log_prior_grid(family, m, n_samples, rng.seed, rng.stream)
 
 
-# One grid per (family, m), and for AN5/AN8 per (n_samples, seed, stream)
-# too: posterior re-runs across different data must vary only through the
-# likelihood.  Bounded so seed sweeps don't accumulate grids indefinitely.
+# One exact grid per (family, m): sweeps under one prior reuse it.
 @functools.lru_cache(maxsize=16)
-def _cached_log_prior_grid(
-    family: FamilySpec, m: int, n_samples: int = 0, seed: int = 0, stream: int = 0
+def _closed_form_log_prior_grid(family: FamilySpec, m: int) -> np.ndarray:
+    """Read-only exact log prior density at the m x m cell midpoints."""
+    mid = grid_midpoints(m)
+    log_cells = closed_form_logpdf(family, mid[:, None], mid[None, :])
+    log_cells.flags.writeable = False
+    return log_cells
+
+
+# One histogram per (family, m, n_samples, seed, stream): posterior re-runs
+# across different data must vary only through the likelihood.  Bounded so
+# seed sweeps don't accumulate grids indefinitely.
+@functools.lru_cache(maxsize=16)
+def _estimated_log_prior_grid(
+    family: FamilySpec, m: int, n_samples: int, seed: int, stream: int
 ) -> np.ndarray:
-    """Read-only log prior density on the m x m grid: exact, or the log histogram of AN5/AN8."""
-    if family.has_closed_form:
-        mid = grid_midpoints(m)
-        log_cells = closed_form_logpdf(family, mid[:, None], mid[None, :])
-    else:
-        grid = density_grid(family, m=m, n_samples=n_samples, rng=RngState(seed, stream))
-        with np.errstate(divide="ignore"):
-            log_cells = np.log(grid.cells)
+    """Read-only log histogram density of an AN5/AN8 prior on the m x m grid."""
+    grid = density_grid(family, m=m, n_samples=n_samples, rng=RngState(seed, stream))
+    with np.errstate(divide="ignore"):
+        log_cells = np.log(grid.cells)
     log_cells.flags.writeable = False
     return log_cells
 
@@ -148,13 +154,13 @@ def joint_posterior(
     """Grid posterior of (eta, theta) with pi profiled out by conjugacy.
 
     Cell (i, j) holds the likelihood in (eta, theta) at the midpoints times
-    the prior density there, normalized to sum to one.  Prior grids are
-    cached read-only per (family, m); estimated (AN5/AN8) priors identify
-    their Monte Carlo grid by the rng's (seed, stream) and reuse one cached
-    histogram per (family, m, n_samples, seed), so the rng generator state
-    itself is never consumed here.  All arithmetic runs in log space with a
-    single max subtraction: at n ~ 100 the linear-space likelihood
-    underflows.
+    the prior density there, normalized to sum to one.  Exact priors are
+    cached read-only per (family, m).  Estimated (AN5/AN8)
+    priors identify their Monte Carlo grid by the rng's (seed, stream) and
+    reuse one cached histogram per (family, m, n_samples, seed), so the rng
+    generator state itself is never consumed here.  All arithmetic runs in
+    log space with a single max subtraction: at n ~ 100 the linear-space
+    likelihood underflows.
     """
     if m < 10:
         raise ValueError(f"posterior grid needs m >= 10, got {m}")

@@ -91,6 +91,13 @@ class MomentEstimate:
     n_samples: int
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _call(fn: Callable[..., None], *args) -> None:
     fn(*args)
 
@@ -164,11 +171,12 @@ def pair_blocks(
     When a component shape falls below LOG_SPACE_SHAPE the whole ratio is
     assembled in log space, so even marginals like B(1e-4, 1e-4), whose
     gamma components all underflow as linear doubles, keep their correct
-    law instead of producing 0/0.  consume runs on a worker thread unless
-    there is a single block or a single core.
+    law instead of producing 0/0.  consume runs on a worker thread.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     blocks = [(lo, min(lo + BLOCK, n)) for lo in range(0, n, BLOCK)]
-    workers = min(MAX_WORKERS, len(os.sched_getaffinity(0)), len(blocks))
+    workers = max(1, min(MAX_WORKERS, _usable_cores(), len(blocks)))
     axes = families.ratio_axes(family.variant)
 
     def block(bounds: Tuple[int, int]) -> T:
@@ -178,12 +186,6 @@ def pair_blocks(
             c = ratio([draws[i][lo:hi] for i in num], [draws[i][lo:hi] for i in rest])
             coords.append(1.0 - c if flipped else c)
         return consume(lo, hi, coords[0], coords[1])
-
-    if workers < 2:
-        draws, ratio = _components(rng.generator, family.alphas, n, _call)
-        yield from map(block, blocks)
-        return
-    from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(workers) as pool:
         pending = []

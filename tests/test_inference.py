@@ -209,9 +209,9 @@ class TestJointPosterior:
         d = DiagnosticData(50, 20, 15, 25)
         rng = RngState(74)
         joint_posterior(d, AN5_PRIOR, m=20, rng=rng, prior_samples=10_000)
-        hits = inference._cached_log_prior_grid.cache_info().hits
+        hits = inference._estimated_log_prior_grid.cache_info().hits
         joint_posterior(d, AN5_PRIOR, m=20, rng=rng, prior_samples=10_000)
-        assert inference._cached_log_prior_grid.cache_info().hits == hits + 1
+        assert inference._estimated_log_prior_grid.cache_info().hits == hits + 1
         grid = inference._log_prior_grid(AN5_PRIOR.eta_theta_prior, 20, rng, 10_000)
         assert not grid.flags.writeable
 
@@ -221,9 +221,9 @@ class TestJointPosterior:
 
         family, m = OLM_PRIOR.eta_theta_prior, 37
         first = joint_posterior(DiagnosticData(50, 20, 15, 25), OLM_PRIOR, m=m)
-        hits = inference._cached_log_prior_grid.cache_info().hits
+        hits = inference._closed_form_log_prior_grid.cache_info().hits
         again = joint_posterior(DiagnosticData(50, 20, 15, 25), OLM_PRIOR, m=m)
-        assert inference._cached_log_prior_grid.cache_info().hits == hits + 1
+        assert inference._closed_form_log_prior_grid.cache_info().hits == hits + 1
         assert again.weights.tobytes() == first.weights.tobytes()
         grid = inference._log_prior_grid(family, m, None, 0)
         assert not grid.flags.writeable

@@ -341,26 +341,29 @@ class TestBlockAssembly:
 
     @pytest.mark.parametrize("name", ["an5_log", "an8_zeros"])
     def test_one_core_gives_the_same_bytes(self, monkeypatch, name):
-        """One core runs every block inline, without a pool, to the default run's bytes."""
-        pools = []
-
-        class CountedPool(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
+        """One core gives the default run's samples and grid, byte for byte."""
         family, n = BLOCK_FAMILIES[name], 3 * 4096 + 5
         monkeypatch.setattr(sampling, "BLOCK", 4096)
         pairs = sample_pairs(RngState(82), family, n)
         cells = density_grid(family, m=50, n_samples=n, rng=RngState(83)).cells
-        pooled = 2 if len(os.sched_getaffinity(0)) > 1 else 0
-        assert len(pools) == pooled
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         one_x, one_y = sample_pairs(RngState(82), family, n)
         assert one_x.tobytes() == pairs[0].tobytes() and one_y.tobytes() == pairs[1].tobytes()
         assert density_grid(family, m=50, n_samples=n, rng=RngState(83)).cells.tobytes() == cells.tobytes()
-        assert len(pools) == pooled
+
+    @pytest.mark.parametrize("cpu_count", [None, 1, 3])
+    def test_platform_without_affinity_gives_the_same_bytes(self, monkeypatch, cpu_count):
+        """Where os has no sched_getaffinity, the core count comes from os.cpu_count; bytes are unchanged."""
+        family, n = BLOCK_FAMILIES["an5_log"], 3 * 4096 + 5
+        monkeypatch.setattr(sampling, "BLOCK", 4096)
+        pairs = sample_pairs(RngState(87), family, n)
+        cells = density_grid(family, m=50, n_samples=n, rng=RngState(88)).cells
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert sampling._usable_cores() == (cpu_count or 1)
+        x, y = sample_pairs(RngState(87), family, n)
+        assert x.tobytes() == pairs[0].tobytes() and y.tobytes() == pairs[1].tobytes()
+        assert density_grid(family, m=50, n_samples=n, rng=RngState(88)).cells.tobytes() == cells.tobytes()
 
     def test_log_transforms_take_zero_draws_silently_on_a_thread(self):
         """A gamma draw that underflows to 0 has log -inf, as at one thread, with no warning."""
