@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, NoReturn, Optional, Sequence
 
@@ -140,6 +141,10 @@ def _cmd_posterior(args: argparse.Namespace) -> None:
 
     if args.out in (None, "-"):
         raise CliError("posterior writes multiple files and needs --out PREFIX")
+    # fail before the prior grid is built, not when the first file is written
+    directory = os.path.dirname(args.out) or "."
+    if not os.path.isdir(directory):
+        raise CliError(f"could not write {args.out!r}: no directory {directory!r}")
     gp = joint_posterior(d, prior, m=args.m, rng=rng, prior_samples=args.mc_samples)
     summary = posterior_summary(gp)
     pi_post = pi_posterior(d, prior.pi_prior)

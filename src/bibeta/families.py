@@ -143,7 +143,8 @@ def marginal_params(family: FamilySpec) -> Tuple[BetaParams, BetaParams]:
     """Exact beta parameters of the two marginals.
 
     Sum the shapes of each coordinate's numerator and rest-of-denominator
-    components; complemented coordinates swap (a, b).
+    components; complemented coordinates swap (a, b).  Both sums must be
+    positive, so every axis keeps a nonzero-shape numerator and rest.
     """
     shapes = family.alphas
     out = []

@@ -6,12 +6,13 @@ Streams are backed by the counter-based Philox generator keyed through
 and parallel sub-streams can be derived without coordination.
 
 Pairs are made in two steps.  The gamma components are drawn sequentially
-on the one generator, in component order.  Their assembly into ratios then
-runs in index blocks of BLOCK pairs on up to MAX_WORKERS threads (numpy
-releases the GIL inside ufuncs), as do the log transforms of the log-space
-path, each handed to a thread while the next component is drawn.  Every
-block applies the same elementwise operations to its slice, so the bytes
-do not depend on the number of cores.
+on the one generator, in component order; a zero shape draws nothing and
+is absent from the sums.  On the log-space path each component's log
+transform is handed to a thread as soon as it is drawn, while the next
+component is drawn.  Assembly into ratios then runs in index blocks of
+BLOCK pairs on up to MAX_WORKERS threads (numpy releases the GIL inside
+ufuncs).  Every block applies the same elementwise operations to its
+slice, so the bytes do not depend on the number of cores.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import os
 from dataclasses import dataclass, field
 from functools import reduce
 from math import sqrt
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Iterator, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -37,7 +38,6 @@ BLOCK = 1 << 18
 MAX_WORKERS = 4
 
 T = TypeVar("T")
-Ratio = Callable[[Sequence[np.ndarray], Sequence[np.ndarray]], np.ndarray]
 
 
 @dataclass
@@ -98,10 +98,6 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _call(fn: Callable[..., None], *args) -> None:
-    fn(*args)
-
-
 def _log_in_place(g: np.ndarray) -> None:
     with np.errstate(divide="ignore"):
         np.log(g, out=g)
@@ -116,50 +112,6 @@ def _boost_log_in_place(w: np.ndarray, u: np.ndarray, shape: float) -> None:
     w += u
 
 
-def _log_gamma_draws(
-    gen: np.random.Generator, shape: float, n: int, run: Callable[..., None] = _call
-) -> np.ndarray:
-    """ln Gamma(shape) draws through the boost; run(fn, *args) applies the in-place transform."""
-    w = gen.standard_gamma(shape + 1.0, size=n)
-    u = gen.random(n)
-    run(_boost_log_in_place, w, u, shape)
-    return w
-
-
-def _linear_ratio(num: Sequence[np.ndarray], rest: Sequence[np.ndarray]) -> np.ndarray:
-    top = reduce(np.add, num)
-    return top / reduce(np.add, rest, top)
-
-
-def _log_ratio(num: Sequence[np.ndarray], rest: Sequence[np.ndarray]) -> np.ndarray:
-    top = reduce(np.logaddexp, num)
-    return np.exp(top - reduce(np.logaddexp, rest, top))
-
-
-def _components(
-    gen: np.random.Generator, shapes: Sequence[float], n: int, run: Callable[..., None]
-) -> Tuple[List[np.ndarray], Ratio]:
-    """Every component's draws in component order, and the ratio that assembles them.
-
-    A zero shape draws nothing: a lazy zeros array, or on the log path one
-    -inf array shared by every zero slot.  Log transforms go to run.
-    """
-    if not any(0.0 < s < LOG_SPACE_SHAPE for s in shapes):
-        return [np.zeros(n) if s == 0.0 else gen.standard_gamma(s, size=n) for s in shapes], _linear_ratio
-    neg_inf = np.full(n, -np.inf) if 0.0 in shapes else None
-    draws = []
-    for s in shapes:
-        if s == 0.0:
-            draws.append(neg_inf)
-        elif s < LOG_SPACE_SHAPE:
-            draws.append(_log_gamma_draws(gen, s, n, run))
-        else:
-            g = gen.standard_gamma(s, size=n)
-            run(_log_in_place, g)
-            draws.append(g)
-    return draws, _log_ratio
-
-
 def pair_blocks(
     rng: RngState,
     family: FamilySpec,
@@ -171,30 +123,52 @@ def pair_blocks(
     When a component shape falls below LOG_SPACE_SHAPE the whole ratio is
     assembled in log space, so even marginals like B(1e-4, 1e-4), whose
     gamma components all underflow as linear doubles, keep their correct
-    law instead of producing 0/0.  consume runs on a worker thread.
+    law instead of producing 0/0.  A zero shape draws nothing and is absent
+    from the sums (marginal_params keeps a positive numerator and rest on
+    each axis).  Each log transform goes to a worker as soon as its
+    component is drawn.  consume runs on a worker thread.
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    blocks = [(lo, min(lo + BLOCK, n)) for lo in range(0, n, BLOCK)]
-    workers = max(1, min(MAX_WORKERS, _usable_cores(), len(blocks)))
-    axes = families.ratio_axes(family.variant)
+    shapes, gen = family.alphas, rng.generator
+    log_path = any(0.0 < s < LOG_SPACE_SHAPE for s in shapes)
+    add = np.logaddexp if log_path else np.add
+    axes = [
+        ([i for i in num if shapes[i] > 0.0], [i for i in rest if shapes[i] > 0.0], flipped)
+        for num, rest, flipped in families.ratio_axes(family.variant)
+    ]
+    draws = {}
 
-    def block(bounds: Tuple[int, int]) -> T:
-        lo, hi = bounds
+    def block(lo: int) -> T:
+        hi = min(lo + BLOCK, n)
         coords = []
         for num, rest, flipped in axes:
-            c = ratio([draws[i][lo:hi] for i in num], [draws[i][lo:hi] for i in rest])
-            coords.append(1.0 - c if flipped else c)
+            top = reduce(add, [draws[i][lo:hi] for i in num])
+            # rest is never empty, so c starts as a fresh denominator that the ratio overwrites
+            c = reduce(add, [draws[i][lo:hi] for i in rest], top)
+            if log_path:
+                np.exp(np.subtract(top, c, out=c), out=c)
+            else:
+                np.divide(top, c, out=c)
+            if flipped:
+                np.subtract(1.0, c, out=c)
+            coords.append(c)
+        del top  # only the two coordinates stay alive while consume runs
         return consume(lo, hi, coords[0], coords[1])
 
-    with ThreadPoolExecutor(workers) as pool:
+    with ThreadPoolExecutor(max(1, min(MAX_WORKERS, _usable_cores(), -(-n // BLOCK)))) as pool:
         pending = []
-        draws, ratio = _components(
-            rng.generator, family.alphas, n, lambda fn, *args: pending.append(pool.submit(fn, *args))
-        )
+        for i, s in enumerate(shapes):
+            if 0.0 < s < LOG_SPACE_SHAPE:
+                draws[i] = gen.standard_gamma(s + 1.0, size=n)
+                pending.append(pool.submit(_boost_log_in_place, draws[i], gen.random(n), s))
+            elif s > 0.0:
+                draws[i] = gen.standard_gamma(s, size=n)
+                if log_path:
+                    pending.append(pool.submit(_log_in_place, draws[i]))
         for future in pending:
             future.result()
-        yield from pool.map(block, blocks)
+        yield from pool.map(block, range(0, n, BLOCK))
 
 
 def sample_pairs(rng: RngState, family: FamilySpec, n: int) -> Tuple[np.ndarray, np.ndarray]:

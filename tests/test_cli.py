@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from bibeta import cli
 from bibeta.cli import main
 
 
@@ -440,3 +441,17 @@ class TestUnwritableOutput:
         assert len(err.strip().split("\n")) == 1
         assert str(tmp_path / "missing") in json.loads(err)["error"]
         assert not (tmp_path / "missing").exists()
+
+    def test_posterior_missing_directory_fails_before_computing(self, capsys, monkeypatch, tmp_path):
+        """A posterior prefix in a missing directory is refused before the prior grid is built."""
+        def never(*args, **kwargs):
+            raise AssertionError("joint_posterior ran")
+
+        monkeypatch.setattr(cli, "joint_posterior", never)
+        out = tmp_path / "missing" / "x"
+        rc, stdout, err = run(capsys, "posterior", "--data", "10,4,3,5", "--prior-family", "an5",
+                              "--prior-alphas", "5,5,5,5,1e-4", "--out", str(out))
+        assert rc == 2
+        assert stdout == ""
+        assert len(err.strip().split("\n")) == 1
+        assert str(tmp_path / "missing") in json.loads(err)["error"]

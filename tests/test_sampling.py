@@ -6,9 +6,12 @@ import os
 import sys
 import warnings
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 from scipy import special as sp_special
 
 from bibeta import families, sampling
@@ -19,7 +22,7 @@ from bibeta.sampling import (
     LOG_SPACE_SHAPE,
     MomentEstimate,
     RngState,
-    _log_gamma_draws,
+    _boost_log_in_place,
     estimate_moments,
     sample_pairs,
 )
@@ -91,7 +94,10 @@ class TestDeterminism:
 
 def tiny_gamma(seed: int, shape: float, n: int) -> np.ndarray:
     """Gamma(shape) draws through the log-space boost that sample_pairs uses below 0.02."""
-    return np.exp(_log_gamma_draws(RngState(seed).generator, shape, n))
+    gen = RngState(seed).generator
+    w = gen.standard_gamma(shape + 1.0, size=n)
+    _boost_log_in_place(w, gen.random(n), shape)
+    return np.exp(w)
 
 
 def central_moment_4(p: BetaParams) -> float:
@@ -317,6 +323,8 @@ BLOCK_FAMILIES = {
 }
 # a small block keeps the many-block cases cheap; one test runs at BLOCK itself
 SMALL_BLOCK = 1024
+# zero, log-path and linear-path shapes, so zeros land in numerators and rests of both paths
+ZERO_PATTERN_SHAPE = st.sampled_from([0.0, 1e-4, 0.05, 1.0, 10.0])
 
 
 class TestBlockAssembly:
@@ -332,6 +340,27 @@ class TestBlockAssembly:
             rx, ry = reference_pairs(RngState(81, 2), family, n)
             assert x.dtype == rx.dtype and x.shape == rx.shape == (n,)
             assert x.tobytes() == rx.tobytes() and y.tobytes() == ry.tobytes(), n
+
+    @settings(deadline=None)
+    @given(
+        alphas=st.one_of(
+            st.tuples(st.just(families.AN5), st.lists(ZERO_PATTERN_SHAPE, min_size=5, max_size=5)),
+            st.tuples(st.just(families.AN8), st.lists(ZERO_PATTERN_SHAPE, min_size=8, max_size=8)),
+        ),
+        n=st.sampled_from([1, SMALL_BLOCK - 1, SMALL_BLOCK + 1, 3 * SMALL_BLOCK + 5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_zero_patterns_equal_whole_array_assembly(self, alphas, n, seed):
+        """Zero shapes anywhere in AN5/AN8 leave the bytes of the whole-array assembly."""
+        variant, shapes = alphas
+        try:
+            family = FamilySpec(variant, tuple(shapes))
+        except ValueError:
+            reject()
+        with mock.patch.object(sampling, "BLOCK", SMALL_BLOCK):
+            x, y = sample_pairs(RngState(seed), family, n)
+        rx, ry = reference_pairs(RngState(seed), family, n)
+        assert x.tobytes() == rx.tobytes() and y.tobytes() == ry.tobytes()
 
     def test_pairs_equal_whole_array_assembly_at_block_size(self):
         family, n = BLOCK_FAMILIES["an5_log"], 3 * BLOCK + 5
