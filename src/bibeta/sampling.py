@@ -5,14 +5,11 @@ Streams are backed by the counter-based Philox generator keyed through
 (seed, stream) pair reproduces the same variate sequence on every platform
 and parallel sub-streams can be derived without coordination.
 
-Pairs are made in two steps.  The gamma components are drawn sequentially
-on the one generator, in component order; a zero shape draws nothing and
-is absent from the sums.  On the log-space path each component's log
-transform is handed to a thread as soon as it is drawn, while the next
-component is drawn.  Assembly into ratios then runs in index blocks of
-BLOCK pairs on up to MAX_WORKERS threads (numpy releases the GIL inside
-ufuncs).  Every block applies the same elementwise operations to its
-slice, so the bytes do not depend on the number of cores.
+Pairs are made in blocks of BLOCK pairs on up to MAX_WORKERS threads.  A
+call draws one call key from the state's generator; block k draws the j-th
+nonzero-shape component from spawn_key=(stream, call_key, j, k), fixed by
+the block's index, so the bytes do not depend on the number of cores.
+BLOCK is part of the stream definition, not a tuning knob.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from .families import FamilySpec
 # keep their full magnitude information instead of underflowing to zero
 LOG_SPACE_SHAPE = 0.02
 
-# pairs per assembly block, and the most threads that assemble blocks
+# pairs per block (changing it changes every sample), and the most threads
 BLOCK = 1 << 18
 MAX_WORKERS = 4
 
@@ -45,15 +42,14 @@ class RngState:
     """A reproducible random stream identified by (seed, stream).
 
     Two states constructed with the same identifiers yield bit-identical
-    variate sequences.  Drawing advances the state; distinct states may be
-    used concurrently, a single state may not.
+    variate sequences: generator is keyed spawn_key=(stream,), child(*key)
+    (stream, *key), and pair_blocks uses key (call key, ordinal, block).
+    Drawing advances the state; one state may not be used concurrently.
     """
 
     seed: int
     stream: int = 0
-    _generator: Optional[np.random.Generator] = field(
-        default=None, repr=False, compare=False
-    )
+    _generator: Optional[np.random.Generator] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.seed < 0 or self.stream < 0:
@@ -112,6 +108,22 @@ def _boost_log_in_place(w: np.ndarray, u: np.ndarray, shape: float) -> None:
     w += u
 
 
+def _ratio(num: list, rest: list, flipped: bool, log_path: bool) -> np.ndarray:
+    """sum(num) / sum(num + rest), or sum(rest) over that when flipped (keeping its tail near 0);
+    on the log path the terms are exp(l - L) of the logs l, L the axis's largest log."""
+    if log_path:
+        shift = reduce(np.maximum, num + rest)
+
+        def term(log_g: np.ndarray) -> np.ndarray:
+            e = np.subtract(log_g, shift)
+            return np.exp(e, out=e)
+
+        num, rest = map(term, num), map(term, rest)
+    top, rem = reduce(np.add, num), reduce(np.add, rest)
+    c = np.add(top, rem)
+    return np.divide(rem if flipped else top, c, out=c)
+
+
 def pair_blocks(
     rng: RngState,
     family: FamilySpec,
@@ -120,54 +132,41 @@ def pair_blocks(
 ) -> Iterator[T]:
     """consume(lo, hi, x, y) of pairs lo..hi-1 for each block of n draws, in block order.
 
-    When a component shape falls below LOG_SPACE_SHAPE the whole ratio is
-    assembled in log space, so even marginals like B(1e-4, 1e-4), whose
-    gamma components all underflow as linear doubles, keep their correct
-    law instead of producing 0/0.  A zero shape draws nothing and is absent
-    from the sums (marginal_params keeps a positive numerator and rest on
-    each axis).  Each log transform goes to a worker as soon as its
-    component is drawn.  consume runs on a worker thread.
+    Block k, a task on a worker thread, draws its slice of component j from
+    rng.child(call_key, j, k), assembles both ratios (_ratio) and runs
+    consume; no array is longer than BLOCK.  Logs are used below
+    LOG_SPACE_SHAPE, so marginals like B(1e-4, 1e-4), whose gammas underflow
+    as doubles, keep their law.  A zero shape draws nothing and is absent
+    from the sums (marginal_params keeps a positive numerator and rest).
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    shapes, gen = family.alphas, rng.generator
+    shapes = family.alphas
     log_path = any(0.0 < s < LOG_SPACE_SHAPE for s in shapes)
-    add = np.logaddexp if log_path else np.add
+    live = [i for i, s in enumerate(shapes) if s > 0.0]
     axes = [
         ([i for i in num if shapes[i] > 0.0], [i for i in rest if shapes[i] > 0.0], flipped)
         for num, rest, flipped in families.ratio_axes(family.variant)
     ]
-    draws = {}
+    call_key = int(rng.generator.integers(1 << 63))
 
     def block(lo: int) -> T:
-        hi = min(lo + BLOCK, n)
-        coords = []
-        for num, rest, flipped in axes:
-            top = reduce(add, [draws[i][lo:hi] for i in num])
-            # rest is never empty, so c starts as a fresh denominator that the ratio overwrites
-            c = reduce(add, [draws[i][lo:hi] for i in rest], top)
-            if log_path:
-                np.exp(np.subtract(top, c, out=c), out=c)
-            else:
-                np.divide(top, c, out=c)
-            if flipped:
-                np.subtract(1.0, c, out=c)
-            coords.append(c)
-        del top  # only the two coordinates stay alive while consume runs
-        return consume(lo, hi, coords[0], coords[1])
+        k, size = lo // BLOCK, min(BLOCK, n - lo)
+        draws = {}
+        for j, i in enumerate(live):
+            s, gen = shapes[i], rng.child(call_key, j, k)
+            tiny = s < LOG_SPACE_SHAPE
+            g = draws[i] = gen.standard_gamma(s + 1.0 if tiny else s, size=size)
+            if tiny:
+                _boost_log_in_place(g, gen.random(size), s)
+            elif log_path:
+                _log_in_place(g)
+        x, y = (_ratio([draws[i] for i in num], [draws[i] for i in rest], flip, log_path)
+                for num, rest, flip in axes)
+        del draws, g  # only the two coordinates stay alive while consume runs
+        return consume(lo, lo + size, x, y)
 
     with ThreadPoolExecutor(max(1, min(MAX_WORKERS, _usable_cores(), -(-n // BLOCK)))) as pool:
-        pending = []
-        for i, s in enumerate(shapes):
-            if 0.0 < s < LOG_SPACE_SHAPE:
-                draws[i] = gen.standard_gamma(s + 1.0, size=n)
-                pending.append(pool.submit(_boost_log_in_place, draws[i], gen.random(n), s))
-            elif s > 0.0:
-                draws[i] = gen.standard_gamma(s, size=n)
-                if log_path:
-                    pending.append(pool.submit(_log_in_place, draws[i]))
-        for future in pending:
-            future.result()
         yield from pool.map(block, range(0, n, BLOCK))
 
 

@@ -4,6 +4,7 @@ import concurrent.futures
 import math
 import os
 import sys
+import tracemalloc
 import warnings
 from functools import reduce
 from unittest import mock
@@ -118,6 +119,16 @@ class TestGammaSample:
             b = sample_pairs(RngState(1), an8_embedding(spec), 10)
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("variant", [families.OL_MINUS, families.OL_STAR])
+    def test_complemented_embedding_gives_the_same_pairs(self, variant):
+        """A complemented coordinate is rest / (num + rest), so OL- and OL* equal
+        their AN8 embeddings bit for bit too, on the linear and log paths."""
+        for alphas in ((2.0, 3.0, 1.5), (1e-3, 2.0, 1e-3)):
+            spec = FamilySpec(variant, alphas)
+            a = sample_pairs(RngState(2), spec, 1000)
+            b = sample_pairs(RngState(2), an8_embedding(spec), 1000)
+            assert np.array_equal(a, b)
+
     def test_negative_shape_rejected(self):
         with pytest.raises(ValueError):
             FamilySpec.an8(-1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
@@ -214,6 +225,21 @@ class TestSamplePairs:
         assert not np.any(np.isnan(x)) and not np.any(np.isnan(y))
         assert abs(x.mean() - 0.5) < 4 * se
 
+    @pytest.mark.parametrize("variant", [families.OL_MINUS, families.OL_STAR])
+    @pytest.mark.parametrize("shape", [1e-3, 1e-4])
+    def test_complemented_tail_near_zero(self, variant, shape):
+        """Complemented coordinates keep their law far below 1e-16, where 1 - c
+        would round to 0: the empirical CDF at 1e-300, 1e-100 and 1e-10 is
+        within 5 SE of the exact regularized incomplete beta."""
+        n = 400_000
+        family = FamilySpec(variant, (shape, 2.0, shape))
+        xy = sample_pairs(RngState(38), family, n)
+        for coord, p in zip(xy, families.marginal_params(family)):
+            for t in (1e-300, 1e-100, 1e-10):
+                exact = float(sp_special.betainc(p.a, p.b, t))
+                se = math.sqrt(exact * (1.0 - exact) / n)
+                assert abs((coord < t).mean() - exact) < 5 * se, (p, t)
+
 
 class TestCorrelationSigns:
     @pytest.mark.parametrize("alphas", [(1, 1, 1), (3, 1, 1), (10, 2.5, 5), (2, 5, 0.5)])
@@ -272,39 +298,45 @@ class TestEstimateMoments:
 
 
 def reference_pairs(rng: RngState, family: FamilySpec, n: int):
-    """Whole-array assembly, one ratio per coordinate over all n draws at once.
+    """Whole-array oracle of the block stream layout.
 
-    The block-parallel sampler must reproduce these bytes for any n and any
-    core count; the code is the single-threaded assembly it replaced.
+    Each nonzero-shape component j is drawn block by block from its
+    sub-stream rng.child(call_key, j, k) and the blocks are concatenated;
+    both ratios are then assembled once over all n draws with the same
+    arithmetic.  The block-parallel sampler must reproduce these bytes for
+    any n and any core count.
     """
-    shapes = family.alphas
-    gen = rng.generator
-    if any(0.0 < s < LOG_SPACE_SHAPE for s in shapes):
-        def log_gamma(s):
-            w = gen.standard_gamma(s + 1.0, size=n)
-            u = gen.random(n)
-            return np.log(w) + np.log(u) / s
-
-        neg_inf = np.full(n, -np.inf)
-        with np.errstate(divide="ignore"):
-            draws = [
-                neg_inf if s == 0.0 else (log_gamma(s) if s < LOG_SPACE_SHAPE else np.log(gen.standard_gamma(s, size=n)))
-                for s in shapes
-            ]
-
-        def ratio(num, rest):
-            top = reduce(np.logaddexp, num)
-            return np.exp(top - reduce(np.logaddexp, rest, top))
-    else:
-        draws = [np.zeros(n) if s == 0.0 else gen.standard_gamma(s, size=n) for s in shapes]
-
-        def ratio(num, rest):
-            top = reduce(np.add, num)
-            return top / reduce(np.add, rest, top)
+    shapes, b = family.alphas, sampling.BLOCK
+    log_path = any(0.0 < s < LOG_SPACE_SHAPE for s in shapes)
+    call_key = int(rng.generator.integers(1 << 63))
+    sizes = [min(b, n - lo) for lo in range(0, n, b)]
+    live = [i for i, s in enumerate(shapes) if s > 0.0]
+    draws = {}
+    for j, i in enumerate(live):
+        s = shapes[i]
+        gens = [rng.child(call_key, j, k) for k in range(len(sizes))]
+        if s < LOG_SPACE_SHAPE:
+            parts = [(gen.standard_gamma(s + 1.0, size=size), gen.random(size)) for gen, size in zip(gens, sizes)]
+            w = np.concatenate([np.empty(0)] + [p[0] for p in parts])
+            u = np.concatenate([np.empty(0)] + [p[1] for p in parts])
+            with np.errstate(divide="ignore"):
+                draws[i] = np.log(w) + np.log(u) / s
+        else:
+            g = np.concatenate([np.empty(0)] + [gen.standard_gamma(s, size=size) for gen, size in zip(gens, sizes)])
+            if log_path:
+                with np.errstate(divide="ignore"):
+                    g = np.log(g)
+            draws[i] = g
     coords = []
     for num, rest, flipped in families.ratio_axes(family.variant):
-        c = ratio([draws[i] for i in num], [draws[i] for i in rest])
-        coords.append(1.0 - c if flipped else c)
+        num = [draws[i] for i in num if i in draws]
+        rest = [draws[i] for i in rest if i in draws]
+        if log_path:
+            shift = reduce(np.maximum, num + rest)
+            num = [np.exp(v - shift) for v in num]
+            rest = [np.exp(v - shift) for v in rest]
+        top, rem = reduce(np.add, num), reduce(np.add, rest)
+        coords.append((rem if flipped else top) / (top + rem))
     return coords[0], coords[1]
 
 
@@ -359,7 +391,7 @@ class TestBlockAssembly:
             reject()
         with mock.patch.object(sampling, "BLOCK", SMALL_BLOCK):
             x, y = sample_pairs(RngState(seed), family, n)
-        rx, ry = reference_pairs(RngState(seed), family, n)
+            rx, ry = reference_pairs(RngState(seed), family, n)
         assert x.tobytes() == rx.tobytes() and y.tobytes() == ry.tobytes()
 
     def test_pairs_equal_whole_array_assembly_at_block_size(self):
@@ -393,6 +425,24 @@ class TestBlockAssembly:
         x, y = sample_pairs(RngState(87), family, n)
         assert x.tobytes() == pairs[0].tobytes() and y.tobytes() == pairs[1].tobytes()
         assert density_grid(family, m=50, n_samples=n, rng=RngState(88)).cells.tobytes() == cells.tobytes()
+
+    @pytest.mark.parametrize("name", ["an5_log", "an8_zeros"])
+    def test_grid_memory_does_not_grow_with_n(self, monkeypatch, name):
+        """density_grid holds only per-block temporaries: its traced peak at
+        32 blocks is under twice its peak at 4 blocks.  One worker, so the
+        peak does not depend on how the blocks happen to overlap."""
+        monkeypatch.setattr(sampling, "BLOCK", 1 << 14)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        peaks = []
+        for blocks in (4, 32):
+            tracemalloc.start()
+            try:
+                density_grid(BLOCK_FAMILIES[name], m=20, n_samples=blocks * sampling.BLOCK, rng=RngState(89))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0], peaks
 
     def test_log_transforms_take_zero_draws_silently_on_a_thread(self):
         """A gamma draw that underflows to 0 has log -inf, as at one thread, with no warning."""
