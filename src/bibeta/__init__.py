@@ -18,7 +18,7 @@ from .families import (
     complement,
     marginal_params,
 )
-from .sampling import MomentEstimate, RngState, estimate_moments, sample_pairs
+from .sampling import RngState, sample_pairs
 from .grids import DensityGrid, density_grid
 from .inference import (
     DegeneratePosteriorError,
@@ -59,9 +59,7 @@ __all__ = [
     "AN8",
     "INDEPENDENT",
     "RngState",
-    "MomentEstimate",
     "sample_pairs",
-    "estimate_moments",
     "DensityGrid",
     "density_grid",
     "DiagnosticData",

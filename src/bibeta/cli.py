@@ -302,29 +302,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: List[str]) -> argparse.Namespace:
-    # config values fill in flags the user left unset; explicit flags win.
-    # Re-parsing (config flags first, user flags after) keeps argparse's
-    # type conversion and choice validation in force for config values.
-    args = parser.parse_args(argv)
-    if not getattr(args, "config", None):
-        return args
-    try:
-        with open(args.config) as fh:
-            overrides = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"could not read --config {args.config!r}: {exc}") from None
-    if not isinstance(overrides, dict):
-        raise CliError("--config must contain a JSON object of flag values")
-    explicit = {a.split("=", 1)[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
+    # config values fill in flags the user left unset: they go before the
+    # user's flags and argparse keeps a flag's last occurrence.  argparse's
+    # conversion, choice and required checks thus cover config values too.
+    finder = _Parser(add_help=False)
+    finder.add_argument("--config", default=None)
+    path = finder.parse_known_args(argv[1:])[0].config
+    overrides = {}
+    if path:
+        try:
+            with open(path) as fh:
+                overrides = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise CliError(f"could not read --config {path!r}: {exc}") from None
+        if not isinstance(overrides, dict):
+            raise CliError("--config must contain a JSON object of flag values")
     filled = []
     for key, value in overrides.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if value is not None:
+            filled.extend([f"--{key.replace('_', '-')}", str(value)])
+    args, unknown = parser.parse_known_args(argv[:1] + filled + argv[1:])
+    for key in overrides:
+        if not hasattr(args, key.replace("-", "_")):
             raise CliError(f"--config key {key!r} is not a flag of this subcommand")
-        if attr not in explicit and value is not None:
-            filled.extend([f"--{attr.replace('_', '-')}", str(value)])
-    if filled:
-        args = parser.parse_args(argv[:1] + filled + argv[1:])
+    if unknown:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     return args
 
 

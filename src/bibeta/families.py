@@ -179,8 +179,10 @@ def product_moment(family: FamilySpec) -> Tuple[float, float]:
     and B sums a_i/(1+c_i)^2 over the numerator both share.  log(1+s+t)
     bends on s = t, so each half of the quadrant has nodes on log(smaller)
     and log(larger/smaller) > 0, never across the bend.  The step halves
-    until two rules agree to 1e-10 relative; their difference, floored at
-    rounding, is the error.
+    until each half agrees with its previous rule: the error, the sum of
+    the two halves' changes floored at rounding, must fall to 1e-10 of
+    E[XY].  A stop test on the sum alone fires early where the halves move
+    by opposite amounts.
     """
     a = family.alphas
     (num_x, rest_x, flip_x), (num_y, rest_y, flip_y) = ratio_axes(family.variant)
@@ -196,7 +198,7 @@ def product_moment(family: FamilySpec) -> Tuple[float, float]:
     lo = np.array([[total(dx - dy), total(dy - dx)], [total(nx - dy), total(ny - dx)],
                    [total(nx & dy), total(ny & dx)]])[..., None, None]
     hi, both, shared = lo[:, ::-1], total(dx & dy), total(nx & ny)
-    h, prev = 0.5, None
+    h, prev = 0.5, np.inf  # per-half sums of the previous rule
     while True:
         sig, d_sig = _de_nodes(h, _TAIL / sum(a))
         g, d_g = _de_nodes(h, _TAIL + _TAIL / min(total(dx), total(dy)))
@@ -214,11 +216,13 @@ def product_moment(family: FamilySpec) -> Tuple[float, float]:
             * (hi[1] * np.exp(tau - l_hi) + hi[2] * np.exp(tau - l_both))
             + shared * np.exp(sig + tau - 2.0 * l_both)
         )  # the Jacobian s t rides on s A_x, t A_y and s t B
-        e_xy = h * h * float(np.sum(f * (d_sig * d_gap)))
-        if prev is not None and abs(e_xy - prev) <= 1e-10 * e_xy:
+        f *= d_sig * d_gap
+        e_xy, halves = h * h * float(np.sum(f)), h * h * f.sum(axis=(1, 2))
+        err = float(np.abs(halves - prev).sum())
+        if err <= 1e-10 * e_xy:
             break
-        h, prev = h / 2, e_xy
-    return e_xy, max(abs(e_xy - prev), 2.0**-50 * e_xy)  # summing rounds to ~2^-52 e_xy
+        h, prev = h / 2, halves
+    return e_xy, max(err, 2.0**-50 * e_xy)  # summing rounds to ~2^-52 e_xy
 
 
 # ---------------------------------------------------------------------------

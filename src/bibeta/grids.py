@@ -10,12 +10,14 @@ by m^2 / n_samples, which integrate to one by construction.
 The histogram is numpy's 2-D histogram on m equal bins of [0, 1], count
 for count: each block of pairs is binned by an exact cell index (floor(c m),
 corrected once against the same np.linspace edges) as it is assembled, and
-the blocks' bincounts are summed.
+the blocks' bincounts are summed.  A posterior's prior grid is made here
+too: log_prior_cells caches it read-only, exact or the log of a histogram.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -110,10 +112,9 @@ def density_grid(
     if m < 2:
         raise ValueError(f"grid resolution m must be >= 2, got {m}")
     if family.has_closed_form:
-        mid = grid_midpoints(m)
         # max-subtraction before exp keeps sharply concentrated densities
         # from underflowing on every cell
-        log_cells = closed_form_logpdf(family, mid[:, None], mid[None, :])
+        log_cells = _closed_form_log_cells(family, m)
         cells = np.exp(log_cells - log_cells.max())
         cells *= (m * m) / cells.sum()
         return DensityGrid(m=m, cells=cells, estimated=False, n_samples=0, family=family)
@@ -134,3 +135,41 @@ def density_grid(
     return DensityGrid(
         m=m, cells=cells, estimated=True, n_samples=n_samples, family=family, seed=seed
     )
+
+
+# One exact evaluation per (family, m), shared by density grids and posteriors.
+@lru_cache(maxsize=16)
+def _closed_form_log_cells(family: FamilySpec, m: int) -> np.ndarray:
+    """Read-only exact log density at the m x m cell midpoints."""
+    mid = grid_midpoints(m)
+    log_cells = closed_form_logpdf(family, mid[:, None], mid[None, :])
+    log_cells.flags.writeable = False
+    return log_cells
+
+
+# One histogram per (family, m, n_samples, seed, stream): posterior re-runs
+# across different data must vary only through the likelihood.  Bounded so
+# seed sweeps don't accumulate grids indefinitely.
+@lru_cache(maxsize=16)
+def _histogram_log_cells(family: FamilySpec, m: int, n_samples: int, seed: int, stream: int) -> np.ndarray:
+    """Read-only log histogram density of an AN5/AN8 family on the m x m grid."""
+    grid = density_grid(family, m=m, n_samples=n_samples, rng=RngState(seed, stream))
+    with np.errstate(divide="ignore"):
+        log_cells = np.log(grid.cells)
+    log_cells.flags.writeable = False
+    return log_cells
+
+
+def log_prior_cells(family: FamilySpec, m: int, n_samples: int, rng: Optional[RngState]) -> np.ndarray:
+    """Read-only log prior density on the m x m midpoint grid, cached.
+
+    Closed forms are evaluated exactly at the midpoints and ignore
+    n_samples and rng.  AN5/AN8 take the log of their histogram density,
+    identified by the rng's (seed, stream); its generator is not consumed,
+    so the same state always names the same grid.
+    """
+    if family.has_closed_form:
+        return _closed_form_log_cells(family, m)
+    if rng is None:
+        raise ValueError(f"a {family.variant} prior needs an RngState for its density grid")
+    return _histogram_log_cells(family, m, n_samples, *rng.identity)

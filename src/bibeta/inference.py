@@ -14,16 +14,14 @@ from Binomial(n - n1, theta) for k2.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .families import FamilySpec, closed_form_logpdf
-from .grids import DEFAULT_GRID_SAMPLES, density_grid, grid_midpoints
-from .sampling import RngState
+from .families import FamilySpec
+from .grids import DEFAULT_GRID_SAMPLES, grid_midpoints, log_prior_cells
 from .special import BetaParams
 from .serialize import csv_text, json_text
 
@@ -111,56 +109,22 @@ def pi_posterior(d: DiagnosticData, prior: BetaParams) -> BetaParams:
     return BetaParams(prior.a + d.n1, prior.b + d.n2)
 
 
-def _log_prior_grid(family: FamilySpec, m: int, rng: Optional[RngState], n_samples: int) -> np.ndarray:
-    if family.has_closed_form:
-        return _closed_form_log_prior_grid(family, m)
-    if rng is None:
-        raise ValueError(f"a {family.variant} prior needs an RngState for its density grid")
-    return _estimated_log_prior_grid(family, m, n_samples, rng.seed, rng.stream)
-
-
-# One exact grid per (family, m): sweeps under one prior reuse it.
-@functools.lru_cache(maxsize=16)
-def _closed_form_log_prior_grid(family: FamilySpec, m: int) -> np.ndarray:
-    """Read-only exact log prior density at the m x m cell midpoints."""
-    mid = grid_midpoints(m)
-    log_cells = closed_form_logpdf(family, mid[:, None], mid[None, :])
-    log_cells.flags.writeable = False
-    return log_cells
-
-
-# One histogram per (family, m, n_samples, seed, stream): posterior re-runs
-# across different data must vary only through the likelihood.  Bounded so
-# seed sweeps don't accumulate grids indefinitely.
-@functools.lru_cache(maxsize=16)
-def _estimated_log_prior_grid(
-    family: FamilySpec, m: int, n_samples: int, seed: int, stream: int
-) -> np.ndarray:
-    """Read-only log histogram density of an AN5/AN8 prior on the m x m grid."""
-    grid = density_grid(family, m=m, n_samples=n_samples, rng=RngState(seed, stream))
-    with np.errstate(divide="ignore"):
-        log_cells = np.log(grid.cells)
-    log_cells.flags.writeable = False
-    return log_cells
-
-
 def joint_posterior(
     d: DiagnosticData,
     prior: PriorSpec,
     m: int = 100,
-    rng: Optional[RngState] = None,
+    rng: Optional["RngState"] = None,
     prior_samples: int = DEFAULT_GRID_SAMPLES,
 ) -> GridPosterior:
     """Grid posterior of (eta, theta) with pi profiled out by conjugacy.
 
     Cell (i, j) holds the likelihood in (eta, theta) at the midpoints times
-    the prior density there, normalized to sum to one.  Exact priors are
-    cached read-only per (family, m).  Estimated (AN5/AN8)
-    priors identify their Monte Carlo grid by the rng's (seed, stream) and
-    reuse one cached histogram per (family, m, n_samples, seed), so the rng
-    generator state itself is never consumed here.  All arithmetic runs in
-    log space with a single max subtraction: at n ~ 100 the linear-space
-    likelihood underflows.
+    the prior density there, normalized to sum to one.  The prior comes
+    from grids.log_prior_cells, which caches it: exact priors per
+    (family, m), AN5/AN8 histograms per (family, m, prior_samples) and the
+    rng's (seed, stream), whose generator is never consumed here.  All
+    arithmetic runs in log space with a single max subtraction: at n ~ 100
+    the linear-space likelihood underflows.
     """
     if m < 10:
         raise ValueError(f"posterior grid needs m >= 10, got {m}")
@@ -169,7 +133,7 @@ def joint_posterior(
     log_theta = d.k2 * np.log(mid) + (d.n2 - d.k2) * np.log1p(-mid)
     # in place, in the order (log_eta + log_theta) + prior - peak
     log_w = log_eta[:, None] + log_theta[None, :]
-    log_w += _log_prior_grid(prior.eta_theta_prior, m, rng, prior_samples)
+    log_w += log_prior_cells(prior.eta_theta_prior, m, prior_samples, rng)
     peak = log_w.max()
     if not np.isfinite(peak):
         raise DegeneratePosteriorError("posterior weights vanish on every grid cell")

@@ -17,7 +17,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import reduce
-from math import sqrt
 from typing import Callable, Iterator, Optional, Tuple, TypeVar
 
 import numpy as np
@@ -72,19 +71,6 @@ class RngState:
     @property
     def identity(self) -> Tuple[int, int]:
         return (self.seed, self.stream)
-
-
-@dataclass(frozen=True)
-class MomentEstimate:
-    """Monte Carlo marginal moments and Pearson correlation of one family."""
-
-    mean_x: float
-    mean_y: float
-    var_x: float
-    var_y: float
-    correlation: float
-    std_error_corr: float
-    n_samples: int
 
 
 def _usable_cores() -> int:
@@ -183,32 +169,3 @@ def sample_pairs(rng: RngState, family: FamilySpec, n: int) -> Tuple[np.ndarray,
     for _ in pair_blocks(rng, family, n, write):
         pass
     return x, y
-
-
-def estimate_moments(
-    family: FamilySpec, n_samples: int = 1_000_000, rng: Optional[RngState] = None
-) -> MomentEstimate:
-    """Monte Carlo means, variances and Pearson correlation of a family.
-
-    The correlation standard error is the influence-function (delta method)
-    one, sd(zx zy - r (zx^2 + zy^2) / 2) / sqrt(n) over the standardized
-    draws, which holds for any law; the normal-theory (1 - r^2) / sqrt(n)
-    gives only 0.57x the seed-to-seed spread for OL+(1,1,0.1).  At the
-    default 10^6 samples it sits near 1e-3.
-    """
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    if rng is None:
-        raise ValueError("estimate_moments requires an RngState")
-    x, y = sample_pairs(rng, family, n_samples)
-    mean_x = float(x.mean())
-    mean_y = float(y.mean())
-    var_x = float(x.var(ddof=1))
-    var_y = float(y.var(ddof=1))
-    dx, dy = x - mean_x, y - mean_y
-    cov = float((dx * dy).sum() / (n_samples - 1))
-    corr = cov / sqrt(var_x * var_y)
-    dx /= sqrt(var_x)
-    dy /= sqrt(var_y)
-    se = float(np.std(dx * dy - 0.5 * corr * (dx * dx + dy * dy))) / sqrt(n_samples)
-    return MomentEstimate(mean_x, mean_y, var_x, var_y, corr, se, n_samples)

@@ -33,12 +33,13 @@ from bibeta.inference import (
     predictive_propensity,
     predictive_values,
 )
-from bibeta.sampling import RngState, estimate_moments, sample_pairs
+from bibeta.sampling import RngState, sample_pairs
 from bibeta.special import BetaParams
 from bibeta.survivability import (
     SERIES,
     Exchangeable,
     HierIndependent,
+    Interdependent,
     SurvivabilityScenario,
     reproduce_table,
     survivability,
@@ -141,24 +142,18 @@ def test_criterion_2_tables_5_and_6_monte_carlo(record_criterion):
 
 
 def test_criterion_3_prior_correlations(record_criterion):
-    """Published prior correlations at n=10^6 and a fixed seed.
+    """Published prior correlations against the exact ones (product_moment).
 
     The OL- check fails honestly: the exact correlation of OL(10, 2.5, 5)
-    is -0.46478 (quadrature-verified), outside -0.45 +- 0.01.
+    is -0.46478, outside -0.45 +- 0.01.
     """
     failures = []
-    olm = estimate_moments(FamilySpec.ol_minus(10, 2.5, 5), 1_000_000, RngState(SEED + 4))
-    check(
-        failures,
-        abs(olm.correlation - (-0.45)) <= 0.01,
-        f"OL-(10,2.5,5): rho {olm.correlation:.4f} vs printed -0.45",
-    )
-    an5 = estimate_moments(FamilySpec.an5(5, 5, 5, 5, 1e-4), 1_000_000, RngState(SEED + 5))
-    check(
-        failures,
-        abs(an5.correlation - (-0.65)) <= 0.01,
-        f"AN5(5,5,5,5,1e-4): rho {an5.correlation:.4f} vs printed -0.65",
-    )
+    for spec, label, printed in (
+        (FamilySpec.ol_minus(10, 2.5, 5), "OL-(10,2.5,5)", -0.45),
+        (FamilySpec.an5(5, 5, 5, 5, 1e-4), "AN5(5,5,5,5,1e-4)", -0.65),
+    ):
+        rho = survivability(SurvivabilityScenario(Interdependent(spec))).correlation
+        check(failures, abs(rho - printed) <= 0.01, f"{label}: rho {rho:.5f} vs printed {printed}")
     record_criterion(3, "screening prior correlations (-0.45, -0.65)", failures)
     assert not failures, "; ".join(failures)
 

@@ -356,6 +356,15 @@ class TestConfigFile:
         assert rc == 0
         assert len(out.strip().split("\n")) == 5
 
+    def test_config_supplies_required_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"table": 5}))
+        rc, out, err = run(capsys, "tables", "--config", str(cfg))
+        assert (rc, err) == (0, "")
+        assert out == run(capsys, "tables", "--table", "5")[1]
+        rc, out, _ = run(capsys, "tables", "--config", str(cfg), "--table", "4")
+        assert rc == 0 and "analytic" in out
+
 
 class TestUsageErrors:
     """argparse usage errors follow the JSON error contract: rc 2, one JSON line."""

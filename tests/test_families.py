@@ -31,8 +31,9 @@ from bibeta.families import (
 )
 from bibeta.grids import MIN_ESTIMATED_SAMPLES, density_grid
 from bibeta.inference import DiagnosticData, PriorSpec, joint_posterior
-from bibeta.sampling import RngState, estimate_moments, sample_pairs
+from bibeta.sampling import RngState, sample_pairs
 from bibeta.special import BetaParams
+from bibeta.survivability import Interdependent, SurvivabilityScenario, survivability
 
 ALPHA_SETS_3 = [(1.0, 1.0, 1.0), (3.0, 1.0, 1.0), (10.0, 2.5, 5.0)]
 # the OL densities under test, named after the density they evaluate
@@ -321,9 +322,10 @@ class TestComplement:
 
     def test_correlation_sign_flips_once_per_coordinate(self):
         spec = FamilySpec.ol_plus(3, 3, 1)
-        base = estimate_moments(spec, 200_000, RngState(131)).correlation
-        comp = estimate_moments(complement(spec, "y"), 200_000, RngState(132)).correlation
-        both = estimate_moments(complement(spec, "both"), 200_000, RngState(133)).correlation
+        base, comp, both = (
+            survivability(SurvivabilityScenario(Interdependent(s))).correlation
+            for s in (spec, complement(spec, "y"), complement(spec, "both"))
+        )
         assert base > 0 and comp < 0 and both > 0
         assert abs(base + comp) < 0.01
         assert abs(base - both) < 0.01
@@ -450,6 +452,12 @@ def moment_specs(draw):
 
 AN8_VECTOR = FamilySpec.an8(1, 2, 3, 0.5, 1.5, 2.5, 0.7, 1.2)
 INDEP = FamilySpec.independent(BetaParams(2, 3), BetaParams(1, 4))
+# OL+ shapes whose two quadrant halves move by -1.14e-9 and +1.14e-9 from
+# step 1/8 to 1/16: a stop test on their sum fires 2.2e-11 from the answer
+OPPOSITE_HALVES = (1.509765625, 1.3236149787687748, 11.076271596619062)
+# E[XY] there to 21 digits: mpmath at 40 digits, nested quadrature over U3
+# of E[U1/(U1+u)] E[U2/(U2+u)], each 1 - u hyperu(1, 2 - a, u)
+OPPOSITE_HALVES_E_XY = Fraction("0.013691919531046797594")
 
 
 class TestProductMoment:
@@ -481,11 +489,17 @@ class TestProductMoment:
 
     @settings(max_examples=40, deadline=None)
     @given(closed_specs(MOMENT_SHAPES))
+    @example(FamilySpec.ol_plus(*OPPOSITE_HALVES))
     def test_complement_y_is_mean_minus_product(self, spec):
         """E[X(1-Y)] = E[X] - E[XY], with the complemented law's own quadrature."""
         e_xy, err = product_moment(spec)
         e_comp, err_comp = product_moment(complement(spec, "y"))
         assert abs(e_comp - (marginal_params(spec)[0].mean - e_xy)) <= err + err_comp
+
+    def test_halves_converge_separately(self):
+        """Cancelling changes of the two halves do not stop the step halving early."""
+        e_xy, err = product_moment(FamilySpec.ol_plus(*OPPOSITE_HALVES))
+        assert abs(Fraction(e_xy) - OPPOSITE_HALVES_E_XY) <= err <= 1e-15
 
     @pytest.mark.parametrize(
         "spec, rho, tol", EXACT_CORRELATIONS, ids=[s.label() for s, _, _ in EXACT_CORRELATIONS]

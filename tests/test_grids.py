@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp_special
 
-from bibeta import sampling
+from bibeta import grids, sampling
 from bibeta.families import FamilySpec, closed_form_logpdf
 from bibeta.grids import DensityGrid, _cell_counts, density_grid, grid_midpoints
 from bibeta.sampling import RngState, sample_pairs
@@ -45,6 +45,19 @@ class TestClosedFormGrids:
         raw = np.exp(closed_form_logpdf(spec, e, t))
         factor = grid.cells[50, 50] / raw[50, 50]
         assert factor == pytest.approx(1.0, abs=2e-3)
+
+    def test_density_and_prior_share_one_evaluation(self):
+        """A density grid and a posterior prior of one (family, m) evaluate the pdf once."""
+        spec = FamilySpec.ol_star(2, 3, 0.5)
+        first = density_grid(spec, m=23)
+        hits = grids._closed_form_log_cells.cache_info().hits
+        prior = grids.log_prior_cells(spec, 23, 0, None)
+        again = density_grid(spec, m=23)
+        assert grids._closed_form_log_cells.cache_info().hits == hits + 2
+        assert again.cells.tobytes() == first.cells.tobytes()
+        cells = np.exp(prior - prior.max())
+        cells *= (23 * 23) / cells.sum()
+        assert cells.tobytes() == first.cells.tobytes()
 
 
 class TestEstimatedGrids:

@@ -204,28 +204,28 @@ class TestJointPosterior:
         assert abs(gp.weights.sum() - 1.0) < 1e-12
 
     def test_estimated_prior_grid_is_cached_read_only(self):
-        import bibeta.inference as inference
+        import bibeta.grids as grids
 
         d = DiagnosticData(50, 20, 15, 25)
         rng = RngState(74)
         joint_posterior(d, AN5_PRIOR, m=20, rng=rng, prior_samples=10_000)
-        hits = inference._estimated_log_prior_grid.cache_info().hits
+        hits = grids._histogram_log_cells.cache_info().hits
         joint_posterior(d, AN5_PRIOR, m=20, rng=rng, prior_samples=10_000)
-        assert inference._estimated_log_prior_grid.cache_info().hits == hits + 1
-        grid = inference._log_prior_grid(AN5_PRIOR.eta_theta_prior, 20, rng, 10_000)
+        assert grids._histogram_log_cells.cache_info().hits == hits + 1
+        grid = grids.log_prior_cells(AN5_PRIOR.eta_theta_prior, 20, 10_000, rng)
         assert not grid.flags.writeable
 
     def test_closed_form_prior_grid_is_cached_read_only(self):
         """The exact prior is built once per (family, m) and reused byte for byte."""
-        import bibeta.inference as inference
+        import bibeta.grids as grids
 
         family, m = OLM_PRIOR.eta_theta_prior, 37
         first = joint_posterior(DiagnosticData(50, 20, 15, 25), OLM_PRIOR, m=m)
-        hits = inference._closed_form_log_prior_grid.cache_info().hits
+        hits = grids._closed_form_log_cells.cache_info().hits
         again = joint_posterior(DiagnosticData(50, 20, 15, 25), OLM_PRIOR, m=m)
-        assert inference._closed_form_log_prior_grid.cache_info().hits == hits + 1
+        assert grids._closed_form_log_cells.cache_info().hits == hits + 1
         assert again.weights.tobytes() == first.weights.tobytes()
-        grid = inference._log_prior_grid(family, m, None, 0)
+        grid = grids.log_prior_cells(family, m, 0, None)
         assert not grid.flags.writeable
         mid = grid_midpoints(m)
         assert grid.tobytes() == closed_form_logpdf(family, mid[:, None], mid[None, :]).tobytes()
@@ -234,7 +234,7 @@ class TestJointPosterior:
         import bibeta.inference as inference
 
         monkeypatch.setattr(
-            inference, "_log_prior_grid", lambda *a, **k: np.full((10, 10), -np.inf)
+            inference, "log_prior_cells", lambda *a, **k: np.full((10, 10), -np.inf)
         )
         with pytest.raises(DegeneratePosteriorError):
             joint_posterior(DiagnosticData(0, 0, 0, 0), INDEP_PRIOR, m=10)
