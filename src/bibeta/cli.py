@@ -335,8 +335,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = _apply_config(parser, list(sys.argv[1:] if argv is None else argv))
         args.func(args)
-    except ValueError as exc:  # CliError, NotClosedError and all validation errors
-        sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
+    except (ValueError, MemoryError) as exc:  # validation errors and grids too large to allocate
+        sys.stderr.write(json.dumps({"error": str(exc) or type(exc).__name__}) + "\n")
         return 2
     return 0
 

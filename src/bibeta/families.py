@@ -13,8 +13,8 @@ U_i ~ Gamma(alpha_i):
          alphas (a_x, b_x, a_y, b_y) of its two beta marginals
 
 AN8 contains the OL variants and indep as zero patterns, and these four
-have a closed-form joint density; AN5/AN8 do not and are handled by Monte
-Carlo histograms (see grids.density_grid).
+have a closed-form joint density; AN5/AN8 do not and get exact cell
+probabilities or Monte Carlo histograms (see grids.density_grid).
 """
 
 from __future__ import annotations

@@ -119,9 +119,9 @@ def joint_posterior(
     """Grid posterior of (eta, theta) with pi profiled out by conjugacy.
 
     Cell (i, j) holds the likelihood in (eta, theta) at the midpoints times
-    the prior density there, normalized to sum to one.  The prior comes
-    from grids.log_prior_cells, which caches it: exact priors per
-    (family, m), AN5/AN8 histograms per (family, m, prior_samples) and the
+    the prior of the cell, normalized to sum to one.  The prior comes from
+    grids.log_prior_cells, which caches it: exact priors per (family, m),
+    AN5/AN8 histograms per (family, m, prior_samples) and the
     rng's (seed, stream), whose generator is never consumed here.  All
     arithmetic runs in log space with a single max subtraction: at n ~ 100
     the linear-space likelihood underflows.

@@ -120,20 +120,22 @@ def pair_blocks(
 
     Block k, a task on a worker thread, draws its slice of component j from
     rng.child(call_key, j, k), assembles both ratios (_ratio) and runs
-    consume; no array is longer than BLOCK.  Logs are used below
-    LOG_SPACE_SHAPE, so marginals like B(1e-4, 1e-4), whose gammas underflow
-    as doubles, keep their law.  A zero shape draws nothing and is absent
-    from the sums (marginal_params keeps a positive numerator and rest).
+    consume; no array is longer than BLOCK.  Shapes below LOG_SPACE_SHAPE are
+    drawn in logs; the ratios are assembled from logs only where some axis's
+    numerator or rest has no other shape, as its sum could underflow to 0
+    (B(1e-4, 1e-4) would read 0/0), else from the exponentiated draws.  A
+    zero shape draws nothing and is absent from the sums (marginal_params
+    keeps a positive numerator and rest).
     """
     from concurrent.futures import ThreadPoolExecutor
 
     shapes = family.alphas
-    log_path = any(0.0 < s < LOG_SPACE_SHAPE for s in shapes)
     live = [i for i, s in enumerate(shapes) if s > 0.0]
     axes = [
         ([i for i in num if shapes[i] > 0.0], [i for i in rest if shapes[i] > 0.0], flipped)
         for num, rest, flipped in families.ratio_axes(family.variant)
     ]
+    log_path = any(all(shapes[i] < LOG_SPACE_SHAPE for i in side) for ax in axes for side in ax[:2])
     call_key = int(rng.generator.integers(1 << 63))
 
     def block(lo: int) -> T:
@@ -145,6 +147,8 @@ def pair_blocks(
             g = draws[i] = gen.standard_gamma(s + 1.0 if tiny else s, size=size)
             if tiny:
                 _boost_log_in_place(g, gen.random(size), s)
+                if not log_path:
+                    np.exp(g, out=g)
             elif log_path:
                 _log_in_place(g)
         x, y = (_ratio([draws[i] for i in num], [draws[i] for i in rest], flip, log_path)

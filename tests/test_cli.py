@@ -464,3 +464,18 @@ class TestUnwritableOutput:
         assert stdout == ""
         assert len(err.strip().split("\n")) == 1
         assert str(tmp_path / "missing") in json.loads(err)["error"]
+
+
+class TestGridTooLarge:
+    @pytest.mark.parametrize("message", ["Unable to allocate 298. GiB for an array", ""])
+    def test_memory_error_is_json(self, capsys, monkeypatch, message):
+        """A grid too large to allocate exits 2 with one JSON line, not a traceback."""
+        def too_large(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "density_grid", too_large)
+        rc, stdout, err = run(capsys, "density", "--family", "ol-minus", "--alphas", "10,2.5,5", "--m", "200000")
+        assert rc == 2
+        assert stdout == ""
+        assert len(err.strip().split("\n")) == 1
+        assert json.loads(err)["error"] == (message or "MemoryError")

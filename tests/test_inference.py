@@ -221,9 +221,9 @@ class TestJointPosterior:
 
         family, m = OLM_PRIOR.eta_theta_prior, 37
         first = joint_posterior(DiagnosticData(50, 20, 15, 25), OLM_PRIOR, m=m)
-        hits = grids._closed_form_log_cells.cache_info().hits
+        hits = grids._exact_log_cells.cache_info().hits
         again = joint_posterior(DiagnosticData(50, 20, 15, 25), OLM_PRIOR, m=m)
-        assert grids._closed_form_log_cells.cache_info().hits == hits + 1
+        assert grids._exact_log_cells.cache_info().hits == hits + 1
         assert again.weights.tobytes() == first.weights.tobytes()
         grid = grids.log_prior_cells(family, m, 0, None)
         assert not grid.flags.writeable

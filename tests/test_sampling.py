@@ -300,17 +300,30 @@ class TestEstimateMoments:
         assert 0.8 <= ratio <= 1.25
 
 
-def reference_pairs(rng: RngState, family: FamilySpec, n: int):
+def takes_log_path(family: FamilySpec) -> bool:
+    """Some axis's live numerator or live rest has only shapes below LOG_SPACE_SHAPE."""
+    shapes = family.alphas
+    return any(
+        all(shapes[i] < LOG_SPACE_SHAPE for i in side if shapes[i] > 0.0)
+        for num, rest, _ in families.ratio_axes(family.variant)
+        for side in (num, rest)
+    )
+
+
+def reference_pairs(rng: RngState, family: FamilySpec, n: int, log_path=None, dtype=np.float64):
     """Whole-array oracle of the block stream layout.
 
     Each nonzero-shape component j is drawn block by block from its
     sub-stream rng.child(call_key, j, k) and the blocks are concatenated;
     both ratios are then assembled once over all n draws with the same
-    arithmetic.  The block-parallel sampler must reproduce these bytes for
-    any n and any core count.
+    arithmetic, in log space where takes_log_path says so (or log_path
+    forces).  The block-parallel sampler must reproduce these bytes for any
+    n and any core count.  With dtype=np.longdouble the same draws are
+    assembled in extended precision.
     """
     shapes, b = family.alphas, sampling.BLOCK
-    log_path = any(0.0 < s < LOG_SPACE_SHAPE for s in shapes)
+    if log_path is None:
+        log_path = takes_log_path(family)
     call_key = int(rng.generator.integers(1 << 63))
     sizes = [min(b, n - lo) for lo in range(0, n, b)]
     live = [i for i, s in enumerate(shapes) if s > 0.0]
@@ -324,12 +337,15 @@ def reference_pairs(rng: RngState, family: FamilySpec, n: int):
             u = np.concatenate([np.empty(0)] + [p[1] for p in parts])
             with np.errstate(divide="ignore"):
                 draws[i] = np.log(w) + np.log(u) / s
+            if not log_path:
+                draws[i] = np.exp(draws[i])
         else:
             g = np.concatenate([np.empty(0)] + [gen.standard_gamma(s, size=size) for gen, size in zip(gens, sizes)])
             if log_path:
                 with np.errstate(divide="ignore"):
                     g = np.log(g)
             draws[i] = g
+        draws[i] = draws[i].astype(dtype)
     coords = []
     for num, rest, flipped in families.ratio_axes(family.variant):
         num = [draws[i] for i in num if i in draws]
@@ -349,7 +365,8 @@ BLOCK_FAMILIES = {
     "ol_star": FamilySpec.ol_star(3, 1, 1),
     "ol_minus_log": FamilySpec.ol_minus(1e-3, 2, 1e-3),
     "ol_star_log": FamilySpec.ol_star(1e-4, 1e-4, 3),
-    "an5_log": FamilySpec.an5(5, 5, 5, 5, 1e-4),
+    "an5_log": FamilySpec.an5(5, 5, 5, 1e-4, 1e-4),
+    "an5_linear_tiny": FamilySpec.an5(5, 5, 5, 5, 1e-4),
     "an5_all_tiny": FamilySpec.an5(*[1e-4] * 5),
     "an8": FamilySpec.an8(1, 2, 3, 4, 5, 6, 7, 8),
     "an8_zeros": FamilySpec.an8(10, 0, 0, 2.5, 0, 0, 0, 5),
@@ -360,6 +377,11 @@ BLOCK_FAMILIES = {
 SMALL_BLOCK = 1024
 # zero, log-path and linear-path shapes, so zeros land in numerators and rests of both paths
 ZERO_PATTERN_SHAPE = st.sampled_from([0.0, 1e-4, 0.05, 1.0, 10.0])
+# the shapes of the linear-path accuracy property
+LINEAR_RULE_SHAPE = st.sampled_from([1e-4, 0.05, 1.0, 10.0])
+# histogram grids for the one-core and memory tests: an8_zeros has exact cells,
+# so its grid half bins a vector with two components on both axes instead
+BINNED_FAMILIES = {"an5_log": BLOCK_FAMILIES["an5_log"], "an8_zeros": BLOCK_FAMILIES["an8_zeros_log"]}
 
 
 class TestBlockAssembly:
@@ -397,6 +419,40 @@ class TestBlockAssembly:
             rx, ry = reference_pairs(RngState(seed), family, n)
         assert x.tobytes() == rx.tobytes() and y.tobytes() == ry.tobytes()
 
+    def test_log_path_only_where_a_sum_needs_it(self):
+        """The block families cover both paths: AN5(5,5,5,1e-4,1e-4) has an X rest of tiny shapes
+        alone; AN5(5,5,5,5,1e-4) puts a shape-5 term beside its tiny one on every side."""
+        assert takes_log_path(BLOCK_FAMILIES["an5_log"]) and takes_log_path(BLOCK_FAMILIES["an5_all_tiny"])
+        assert not takes_log_path(BLOCK_FAMILIES["an5_linear_tiny"])
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an extended-precision long double")
+    @settings(deadline=None, max_examples=60)
+    @given(
+        alphas=st.one_of(
+            st.tuples(st.just(families.AN5), st.lists(LINEAR_RULE_SHAPE, min_size=5, max_size=5)),
+            st.tuples(st.just(families.AN8), st.lists(LINEAR_RULE_SHAPE, min_size=8, max_size=8)),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_linear_path_is_exact_to_four_ulps(self, alphas, seed):
+        """Where the rule sums tiny draws in linear space, every coordinate is within 4 ulps of
+        the ratio of the same draws assembled in extended precision."""
+        family = FamilySpec(*alphas)
+        if takes_log_path(family):
+            reject()
+        x, y = sample_pairs(RngState(seed), family, 2000)
+        rx, ry = reference_pairs(RngState(seed), family, 2000, log_path=False, dtype=np.longdouble)
+        for c, r in ((x, rx), (y, ry)):
+            assert np.all(np.abs(c - r) <= 4 * np.spacing(np.abs(r).astype(float)))
+
+    def test_an5_prior_pairs_within_four_ulps_of_the_log_assembly(self):
+        """AN5(5,5,5,5,1e-4), now summed in linear space, stays within 4 ulps of its log-space pairs."""
+        family, n = BLOCK_FAMILIES["an5_linear_tiny"], 300_000
+        x, y = sample_pairs(RngState(90), family, n)
+        lx, ly = reference_pairs(RngState(90), family, n, log_path=True)
+        for c, log_c in ((x, lx), (y, ly)):
+            assert np.all(np.abs(c - log_c) <= 4 * np.spacing(np.maximum(c, log_c)))
+
     def test_pairs_equal_whole_array_assembly_at_block_size(self):
         family, n = BLOCK_FAMILIES["an5_log"], 3 * BLOCK + 5
         x, y = sample_pairs(RngState(85), family, n)
@@ -406,14 +462,15 @@ class TestBlockAssembly:
     @pytest.mark.parametrize("name", ["an5_log", "an8_zeros"])
     def test_one_core_gives_the_same_bytes(self, monkeypatch, name):
         """One core gives the default run's samples and grid, byte for byte."""
-        family, n = BLOCK_FAMILIES[name], 3 * 4096 + 5
+        family, binned, n = BLOCK_FAMILIES[name], BINNED_FAMILIES[name], 3 * 4096 + 5
         monkeypatch.setattr(sampling, "BLOCK", 4096)
         pairs = sample_pairs(RngState(82), family, n)
-        cells = density_grid(family, m=50, n_samples=n, rng=RngState(83)).cells
+        grid = density_grid(binned, m=50, n_samples=n, rng=RngState(83))
+        assert grid.estimated
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         one_x, one_y = sample_pairs(RngState(82), family, n)
         assert one_x.tobytes() == pairs[0].tobytes() and one_y.tobytes() == pairs[1].tobytes()
-        assert density_grid(family, m=50, n_samples=n, rng=RngState(83)).cells.tobytes() == cells.tobytes()
+        assert density_grid(binned, m=50, n_samples=n, rng=RngState(83)).cells.tobytes() == grid.cells.tobytes()
 
     @pytest.mark.parametrize("cpu_count", [None, 1, 3])
     def test_platform_without_affinity_gives_the_same_bytes(self, monkeypatch, cpu_count):
@@ -441,7 +498,7 @@ class TestBlockAssembly:
         for blocks in (4, 32):
             tracemalloc.start()
             try:
-                density_grid(BLOCK_FAMILIES[name], m=20, n_samples=blocks * sampling.BLOCK, rng=RngState(89))
+                density_grid(BINNED_FAMILIES[name], m=20, n_samples=blocks * sampling.BLOCK, rng=RngState(89))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
