@@ -118,11 +118,16 @@ def _cmd_posterior(args: argparse.Namespace) -> None:
     rng = RngState(args.seed, args.stream)
     truth = None
     if args.data is not None:
-        counts = _parse_floats(args.data, "--data")
-        if len(counts) != 4 or not all(c.is_integer() for c in counts):
+        from decimal import Decimal
+
+        # float() sets the syntax and rejects inf and nan; Decimal keeps every digit
+        values = _parse_floats(args.data, "--data")
+        counts = [Decimal(v) for v in args.data.split(",")]
+        integers = all(v.is_integer() and c == c.to_integral_value() for v, c in zip(values, counts))
+        if len(values) != 4 or not integers:
             raise CliError(f"--data needs four integers n,n1,k1,k2, got {args.data!r}")
         try:
-            d = DiagnosticData(*(int(c) for c in counts))
+            d = DiagnosticData(*map(int, counts))
         except ValueError as exc:
             raise CliError(str(exc)) from None
     elif args.synth_n is not None:

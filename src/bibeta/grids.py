@@ -12,7 +12,8 @@ The histogram is numpy's 2-D histogram on m equal bins of [0, 1], count
 for count: each block of pairs is binned by an exact cell index (floor(c m),
 corrected once against the same np.linspace edges) as it is assembled, and
 the blocks' bincounts are summed.  A posterior's prior grid is made here
-too: log_prior_cells caches it read-only, exact or the log of a histogram.
+too: log_prior_cells caches it read-only, exact or the log of a histogram,
+with its largest value.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -114,11 +115,11 @@ def density_grid(
     """
     if m < 2:
         raise ValueError(f"grid resolution m must be >= 2, got {m}")
-    log_cells = _exact_log_cells(family, m)
-    if log_cells is not None:
+    exact = _exact_log_cells(family, m)
+    if exact is not None:
         # max-subtraction before exp keeps sharply concentrated densities
         # from underflowing on every cell
-        cells = np.exp(log_cells - log_cells.max())
+        cells = np.exp(exact.cells - exact.top)
         cells *= (m * m) / cells.sum()
         return DensityGrid(m=m, cells=cells, estimated=False, n_samples=0, family=family)
     if n_samples < MIN_ESTIMATED_SAMPLES:
@@ -228,10 +229,17 @@ def _cell_masses(family: FamilySpec, m: int) -> Optional[np.ndarray]:
         tau = tau_lo + h + 2 * h * np.arange(nodes)  # the midpoints of the previous rule
 
 
+class LogCells(NamedTuple):
+    """A read-only m x m log grid and its largest value, found once when the grid is made."""
+
+    cells: np.ndarray
+    top: float
+
+
 # One exact evaluation per (family, m), shared by density grids and posteriors.
 @lru_cache(maxsize=16)
-def _exact_log_cells(family: FamilySpec, m: int) -> Optional[np.ndarray]:
-    """Read-only log midpoint density of a closed form, log _cell_masses, or None for a histogram."""
+def _exact_log_cells(family: FamilySpec, m: int) -> Optional[LogCells]:
+    """Log midpoint density of a closed form, log _cell_masses, or None for a histogram."""
     if family.has_closed_form:
         mid = grid_midpoints(m)
         log_cells = closed_form_logpdf(family, mid[:, None], mid[None, :])
@@ -242,33 +250,33 @@ def _exact_log_cells(family: FamilySpec, m: int) -> Optional[np.ndarray]:
         with np.errstate(divide="ignore"):
             log_cells = np.log(masses)
     log_cells.flags.writeable = False
-    return log_cells
+    return LogCells(log_cells, float(log_cells.max()))
 
 
 # One histogram per (family, m, n_samples, seed, stream): posterior re-runs
 # across different data must vary only through the likelihood.  Bounded so
 # seed sweeps don't accumulate grids indefinitely.
 @lru_cache(maxsize=16)
-def _histogram_log_cells(family: FamilySpec, m: int, n_samples: int, seed: int, stream: int) -> np.ndarray:
-    """Read-only log histogram density of an AN5/AN8 family on the m x m grid."""
+def _histogram_log_cells(family: FamilySpec, m: int, n_samples: int, seed: int, stream: int) -> LogCells:
+    """Log histogram density of an AN5/AN8 family on the m x m grid."""
     grid = density_grid(family, m=m, n_samples=n_samples, rng=RngState(seed, stream))
     with np.errstate(divide="ignore"):
         log_cells = np.log(grid.cells)
     log_cells.flags.writeable = False
-    return log_cells
+    return LogCells(log_cells, float(log_cells.max()))
 
 
-def log_prior_cells(family: FamilySpec, m: int, n_samples: int, rng: Optional[RngState]) -> np.ndarray:
-    """Read-only log prior on the m x m grid, up to a constant, cached.
+def log_prior_cells(family: FamilySpec, m: int, n_samples: int, rng: Optional[RngState]) -> LogCells:
+    """Read-only log prior on the m x m grid, up to a constant, and its max, cached.
 
     Closed forms and exact AN5/AN8 cells (see density_grid) are cached per
     (family, m) and ignore n_samples and rng.  Other AN5/AN8 vectors take
     the log of their histogram density, identified by the rng's (seed,
     stream); its generator is not consumed, so one state names one grid.
     """
-    log_cells = _exact_log_cells(family, m)
-    if log_cells is not None:
-        return log_cells
+    exact = _exact_log_cells(family, m)
+    if exact is not None:
+        return exact
     if rng is None:
         raise ValueError(f"a {family.variant} prior needs an RngState for its density grid")
     return _histogram_log_cells(family, m, n_samples, *rng.identity)

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .families import FamilySpec
-from .grids import DEFAULT_GRID_SAMPLES, grid_midpoints, log_prior_cells
+from .grids import DEFAULT_GRID_SAMPLES, LogCells, grid_midpoints, log_prior_cells
 from .special import BetaParams
 from .serialize import csv_text, json_text
 
@@ -82,6 +83,13 @@ class GridPosterior:
     prior: PriorSpec
     data: DiagnosticData
 
+    @cached_property
+    def marginals(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Read-only marginal masses of eta (row sums) and theta (column sums), summed on first use."""
+        pe, pt = self.weights.sum(axis=1), self.weights.sum(axis=0)
+        pe.flags.writeable = pt.flags.writeable = False
+        return pe, pt
+
     def to_csv(self) -> str:
         header = [f"{t:.12g}" for t in self.theta_axis]
         return csv_text(header, self.weights.tolist())
@@ -109,6 +117,22 @@ def pi_posterior(d: DiagnosticData, prior: BetaParams) -> BetaParams:
     return BetaParams(prior.a + d.n1, prior.b + d.n2)
 
 
+# exp(x) is exactly +0.0 below about -745.13
+_ZERO_GAP = 760.0
+
+
+def _nonzero_window(log_eta: np.ndarray, log_theta: np.ndarray, prior: LogCells) -> Tuple[slice, slice]:
+    """Rows and columns outside which every posterior weight is exactly +0.0; see joint_posterior."""
+    i, j = int(np.argmax(log_eta)), int(np.argmax(log_theta))
+    floor = log_eta[i] + log_theta[j] + prior.cells[i, j]
+    if not np.isfinite(floor):
+        return slice(None), slice(None)
+    # negated, so that a NaN bound keeps its line
+    rows, cols = (np.flatnonzero(~((own + other) + prior.top - floor < -_ZERO_GAP))
+                  for own, other in ((log_eta, log_theta[j]), (log_theta, log_eta[i])))
+    return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+
+
 def joint_posterior(
     d: DiagnosticData,
     prior: PriorSpec,
@@ -120,37 +144,52 @@ def joint_posterior(
 
     Cell (i, j) holds the likelihood in (eta, theta) at the midpoints times
     the prior of the cell, normalized to sum to one.  The prior comes from
-    grids.log_prior_cells, which caches it: exact priors per (family, m),
-    AN5/AN8 histograms per (family, m, prior_samples) and the
+    grids.log_prior_cells, which caches it with its max: exact priors per
+    (family, m), AN5/AN8 histograms per (family, m, prior_samples) and the
     rng's (seed, stream), whose generator is never consumed here.  All
     arithmetic runs in log space with a single max subtraction: at n ~ 100
     the linear-space likelihood underflows.
+
+    Only a window is computed.  With (i, j) the argmax of the two likelihood
+    factors, the peak is at least the log weight of cell (i, j), and as
+    rounding is monotone no log weight in row r exceeds (log_eta[r] +
+    log_theta[j]) + the prior's max in floating point.  A row whose bound is
+    more than _ZERO_GAP under cell (i, j), and likewise a column, holds only
+    cells that exp makes +0.0, so it is left at zero in a zero-filled grid
+    normalized by its full sum.  The cells inside are computed as on the
+    whole grid: the weights are the whole grid's bit for bit, subnormals
+    included.  A non-finite cell (i, j) bounds nothing, and the window is
+    the whole grid; at large n it is a few cells around the peak.
     """
     if m < 10:
         raise ValueError(f"posterior grid needs m >= 10, got {m}")
     mid = grid_midpoints(m)
     log_eta = d.k1 * np.log(mid) + (d.n1 - d.k1) * np.log1p(-mid)
     log_theta = d.k2 * np.log(mid) + (d.n2 - d.k2) * np.log1p(-mid)
+    log_prior = log_prior_cells(prior.eta_theta_prior, m, prior_samples, rng)
+    rows, cols = _nonzero_window(log_eta, log_theta, log_prior)
+    w = np.zeros((m, m))
     # in place, in the order (log_eta + log_theta) + prior - peak
-    log_w = log_eta[:, None] + log_theta[None, :]
-    log_w += log_prior_cells(prior.eta_theta_prior, m, prior_samples, rng)
+    log_w = w[rows, cols]
+    np.add(log_eta[rows, None], log_theta[None, cols], out=log_w)
+    log_w += log_prior.cells[rows, cols]
     peak = log_w.max()
     if not np.isfinite(peak):
         raise DegeneratePosteriorError("posterior weights vanish on every grid cell")
     log_w -= peak
-    w = np.exp(log_w, out=log_w)
-    w /= w.sum()
+    np.exp(log_w, out=log_w)
+    log_w /= w.sum()
     return GridPosterior(
         m=m, weights=w, eta_axis=mid, theta_axis=mid, prior=prior, data=d
     )
 
 
 def marginal_posterior(gp: GridPosterior, coord: str) -> np.ndarray:
-    """Marginal posterior masses of eta (row sums) or theta (column sums)."""
+    """Marginal posterior masses of eta (row sums) or theta (column sums), as a fresh array."""
     if coord == "eta":
-        return gp.weights.sum(axis=1)
+        return gp.marginals[0].copy()
     if coord == "theta":
-        return gp.weights.sum(axis=0)
+        return gp.marginals[1].copy()
     raise ValueError(f"coord must be 'eta' or 'theta', got {coord!r}")
 
 
@@ -162,8 +201,7 @@ def marginal_csv(gp: GridPosterior, coord: str) -> str:
 
 def _marginal_means(gp: GridPosterior) -> Tuple[np.ndarray, np.ndarray, float, float]:
     """Marginal masses of eta and theta, and their posterior means."""
-    pe = gp.weights.sum(axis=1)
-    pt = gp.weights.sum(axis=0)
+    pe, pt = gp.marginals
     return pe, pt, float(pe @ gp.eta_axis), float(pt @ gp.theta_axis)
 
 

@@ -189,6 +189,43 @@ class TestPosterior:
         assert len(err.strip().split("\n")) == 1
         assert "--data" in json.loads(err)["error"]
 
+    def test_counts_above_two_to_the_53_are_exact(self, capsys, tmp_path):
+        """A count is parsed as an integer, not rounded through a double."""
+        out = tmp_path / "big"
+        rc, _, _ = run(
+            capsys,
+            "posterior", "--data", "9007199254740993,3,1,0",
+            "--prior-family", "indep", "--prior-alphas", "1,1,1,1",
+            "--m", "10", "--out", str(out),
+        )
+        assert rc == 0
+        summary = json.loads((tmp_path / "big.summary.json").read_text())["data"]
+        assert summary["data"] == {"n": 2**53 + 1, "n1": 3, "k1": 1, "k2": 0}
+
+    @pytest.mark.parametrize("data", ["1e3,10.,5,0", " 1_000 ,+10,5.0e0,0"])
+    def test_integer_valued_float_forms_accepted(self, capsys, tmp_path, data):
+        rc, _, err = run(
+            capsys,
+            "posterior", "--data", data,
+            "--prior-family", "indep", "--prior-alphas", "1,1,1,1",
+            "--m", "10", "--out", str(tmp_path / "x"),
+        )
+        assert rc == 0, err
+        summary = json.loads((tmp_path / "x.summary.json").read_text())["data"]
+        assert summary["data"] == {"n": 1000, "n1": 10, "k1": 5, "k2": 0}
+
+    @pytest.mark.parametrize("data", ["9007199254740993.5,1,1,1", "1e-999,0,0,0", "2.5,1,1,1"])
+    def test_fractional_counts_rejected(self, capsys, tmp_path, data):
+        """Values a double would round to an integer are still not integers."""
+        rc, _, err = run(
+            capsys,
+            "posterior", "--data", data,
+            "--prior-family", "indep", "--prior-alphas", "1,1,1,1",
+            "--out", str(tmp_path / "x"),
+        )
+        assert rc == 2
+        assert "four integers" in json.loads(err)["error"]
+
     def test_indep_grid_json_metadata(self, capsys, tmp_path):
         out = tmp_path / "post"
         rc, _, _ = run(

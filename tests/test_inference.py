@@ -1,16 +1,19 @@
 """Likelihood, grid posterior, summaries, and predictive quantities."""
 
+import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sp_stats
 
-from bibeta.families import FamilySpec, closed_form_logpdf
-from bibeta.grids import grid_midpoints
+import bibeta.inference as inference
+from bibeta.families import FamilySpec, an8_embedding, closed_form_logpdf
+from bibeta.grids import LogCells, grid_midpoints
 from bibeta.inference import (
     DegeneratePosteriorError,
     DiagnosticData,
@@ -48,6 +51,44 @@ def point_mass_grid(m, i, j, prior=INDEP_PRIOR, data=DiagnosticData(0, 0, 0, 0))
     w[i, j] = 1.0
     mid = grid_midpoints(m)
     return GridPosterior(m=m, weights=w, eta_axis=mid, theta_axis=mid, prior=prior, data=data)
+
+
+def full_grid_weights(d, prior, m, rng=None, prior_samples=0):
+    """joint_posterior's weights evaluated on every cell, as before the zero window."""
+    mid = grid_midpoints(m)
+    log_eta = d.k1 * np.log(mid) + (d.n1 - d.k1) * np.log1p(-mid)
+    log_theta = d.k2 * np.log(mid) + (d.n2 - d.k2) * np.log1p(-mid)
+    log_w = log_eta[:, None] + log_theta[None, :]
+    log_w += inference.log_prior_cells(prior.eta_theta_prior, m, prior_samples, rng).cells
+    peak = log_w.max()
+    if not np.isfinite(peak):
+        raise DegeneratePosteriorError("posterior weights vanish on every grid cell")
+    log_w -= peak
+    w = np.exp(log_w, out=log_w)
+    w /= w.sum()
+    return w
+
+
+@st.composite
+def diagnostic_data(draw):
+    n = draw(st.one_of(st.integers(0, 10**6), st.sampled_from([10**9, 10**12, 10**15])))
+    n1 = draw(st.integers(0, n))
+    return DiagnosticData(n, n1, draw(st.integers(0, n1)), draw(st.integers(0, n - n1)))
+
+
+SHAPES = st.floats(0.5, 5.0)
+OL_SHAPES = st.tuples(*[st.floats(0.3, 10.0)] * 3)
+OL_FAMILIES = st.builds(lambda make, a: make(*a), st.sampled_from([FamilySpec.ol_minus, FamilySpec.ol_plus]), OL_SHAPES)
+# (family, rng, prior_samples): closed forms, exact AN8 cells, and a 10^4-pair AN5 histogram with empty cells
+POSTERIOR_PRIORS = st.one_of(
+    st.builds(
+        lambda a, b, c, e: (FamilySpec.independent(BetaParams(a, b), BetaParams(c, e)), None, 0),
+        SHAPES, SHAPES, SHAPES, SHAPES,
+    ),
+    st.builds(lambda f: (f, None, 0), OL_FAMILIES),
+    st.builds(lambda f: (an8_embedding(f), None, 0), OL_FAMILIES),
+    st.builds(lambda seed: (AN5_PRIOR.eta_theta_prior, RngState(seed), 10**4), st.integers(0, 2)),
+)
 
 
 class TestDiagnosticData:
@@ -213,7 +254,7 @@ class TestJointPosterior:
         joint_posterior(d, AN5_PRIOR, m=20, rng=rng, prior_samples=10_000)
         assert grids._histogram_log_cells.cache_info().hits == hits + 1
         grid = grids.log_prior_cells(AN5_PRIOR.eta_theta_prior, 20, 10_000, rng)
-        assert not grid.flags.writeable
+        assert not grid.cells.flags.writeable and grid.top == grid.cells.max()
 
     def test_closed_form_prior_grid_is_cached_read_only(self):
         """The exact prior is built once per (family, m) and reused byte for byte."""
@@ -225,19 +266,83 @@ class TestJointPosterior:
         again = joint_posterior(DiagnosticData(50, 20, 15, 25), OLM_PRIOR, m=m)
         assert grids._exact_log_cells.cache_info().hits == hits + 1
         assert again.weights.tobytes() == first.weights.tobytes()
-        grid = grids.log_prior_cells(family, m, 0, None)
+        grid = grids.log_prior_cells(family, m, 0, None).cells
         assert not grid.flags.writeable
         mid = grid_midpoints(m)
         assert grid.tobytes() == closed_form_logpdf(family, mid[:, None], mid[None, :]).tobytes()
 
     def test_degenerate_posterior_guard(self, monkeypatch):
-        import bibeta.inference as inference
-
         monkeypatch.setattr(
-            inference, "log_prior_cells", lambda *a, **k: np.full((10, 10), -np.inf)
+            inference, "log_prior_cells", lambda *a, **k: LogCells(np.full((10, 10), -np.inf), -np.inf)
         )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DegeneratePosteriorError):
+                joint_posterior(DiagnosticData(0, 0, 0, 0), INDEP_PRIOR, m=10)
+
+    def test_nan_prior_cell_is_degenerate(self, monkeypatch):
+        """A NaN prior cell away from the likelihood peak makes the peak NaN, as on the whole grid."""
+        cells = np.zeros((10, 10))
+        cells[0, 9] = np.nan
+        monkeypatch.setattr(inference, "log_prior_cells", lambda *a, **k: LogCells(cells, float(cells.max())))
         with pytest.raises(DegeneratePosteriorError):
-            joint_posterior(DiagnosticData(0, 0, 0, 0), INDEP_PRIOR, m=10)
+            joint_posterior(DiagnosticData(10**6, 500_000, 400_000, 300_000), INDEP_PRIOR, m=10)
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=diagnostic_data(), m=st.integers(10, 300), prior=POSTERIOR_PRIORS)
+    def test_weights_equal_the_full_grid_bit_for_bit(self, d, m, prior):
+        family, rng, samples = prior
+        spec = PriorSpec(family, BetaParams(1, 1))
+        got = joint_posterior(d, spec, m=m, rng=rng, prior_samples=samples).weights
+        assert got.tobytes() == full_grid_weights(d, spec, m, rng, samples).tobytes()
+
+    @pytest.mark.parametrize("n", [10**6, 10**9, 10**12, 10**15])
+    def test_large_n_computes_a_small_window(self, n):
+        """Every cell outside the window is zero in the full grid, and the window is small."""
+        d, m = DiagnosticData(n, n // 3, n // 4, n // 2), 300
+        mid = grid_midpoints(m)
+        log_eta = d.k1 * np.log(mid) + (d.n1 - d.k1) * np.log1p(-mid)
+        log_theta = d.k2 * np.log(mid) + (d.n2 - d.k2) * np.log1p(-mid)
+        prior = inference.log_prior_cells(OLM_PRIOR.eta_theta_prior, m, 0, None)
+        rows, cols = inference._nonzero_window(log_eta, log_theta, prior)
+        full = full_grid_weights(d, OLM_PRIOR, m)
+        outside = np.ones((m, m), dtype=bool)
+        outside[rows, cols] = False
+        assert outside.sum() > 0.9 * m * m
+        assert not full[outside].any()
+        assert joint_posterior(d, OLM_PRIOR, m=m).weights.tobytes() == full.tobytes()
+
+    def test_prior_spike_far_from_the_likelihood_peak_stays_in_the_window(self, monkeypatch):
+        """The bound adds the prior's max: a cell it lifts above the likelihood peak is kept."""
+        d, m = DiagnosticData(10**4, 5000, 1500, 3000), 50
+        mid = grid_midpoints(m)
+        log_eta = d.k1 * np.log(mid) + (d.n1 - d.k1) * np.log1p(-mid)
+        log_theta = d.k2 * np.log(mid) + (d.n2 - d.k2) * np.log1p(-mid)
+        far = m - 1
+        spike = float(log_eta.max() - log_eta[far]) + 10.0
+        assert spike > 2 * inference._ZERO_GAP
+        cells = np.zeros((m, m))
+        cells[far, np.argmax(log_theta)] = spike
+        monkeypatch.setattr(inference, "log_prior_cells", lambda *a, **k: LogCells(cells, spike))
+        got = joint_posterior(d, OLM_PRIOR, m=m)
+        assert got.weights.tobytes() == full_grid_weights(d, OLM_PRIOR, m).tobytes()
+        assert posterior_summary(got).mode_cell[0] == far
+
+    def test_empty_prior_cell_at_the_likelihood_peak_takes_the_whole_grid(self, monkeypatch):
+        """A -inf prior at the likelihood's argmax cell gives no bound: the whole grid is computed."""
+        d, m = DiagnosticData(10**6, 400_000, 300_000, 500_000), 50
+        mid = grid_midpoints(m)
+        log_eta = d.k1 * np.log(mid) + (d.n1 - d.k1) * np.log1p(-mid)
+        log_theta = d.k2 * np.log(mid) + (d.n2 - d.k2) * np.log1p(-mid)
+        real = inference.log_prior_cells(OLM_PRIOR.eta_theta_prior, m, 0, None)
+        assert inference._nonzero_window(log_eta, log_theta, real) != (slice(None), slice(None))
+        cells = real.cells.copy()
+        cells[np.argmax(log_eta), np.argmax(log_theta)] = -np.inf
+        patched = LogCells(cells, real.top)
+        assert inference._nonzero_window(log_eta, log_theta, patched) == (slice(None), slice(None))
+        monkeypatch.setattr(inference, "log_prior_cells", lambda *a, **k: patched)
+        got = joint_posterior(d, OLM_PRIOR, m=m).weights
+        assert got.tobytes() == full_grid_weights(d, OLM_PRIOR, m).tobytes()
 
     def test_minimum_resolution(self):
         with pytest.raises(ValueError):
@@ -295,6 +400,38 @@ class TestMarginals:
     def test_invalid_coordinate(self):
         with pytest.raises(ValueError):
             marginal_posterior(point_mass_grid(10, 1, 1), "pi")
+
+    def test_marginals_are_the_weight_sums_read_only(self):
+        gp = joint_posterior(DiagnosticData(50, 20, 15, 25), OLM_PRIOR, m=60)
+        pe, pt = gp.marginals
+        assert np.array_equal(pe, gp.weights.sum(axis=1)) and np.array_equal(pt, gp.weights.sum(axis=0))
+        assert not pe.flags.writeable and not pt.flags.writeable
+        assert gp.marginals[0] is pe
+        with pytest.raises(ValueError):
+            marginal_csv(gp, "pi")
+
+    def test_results_do_not_depend_on_the_call_order(self):
+        d = DiagnosticData(200, 80, 61, 97)
+        calls = {
+            "summary": posterior_summary,
+            "predictive": predictive_propensity,
+            "csv": lambda gp: marginal_csv(gp, "eta") + marginal_csv(gp, "theta"),
+            "marginal": lambda gp: marginal_posterior(gp, "theta").tobytes(),
+        }
+        seen = {}
+        for order in itertools.permutations(calls):
+            gp = joint_posterior(d, OLM_PRIOR, m=40)
+            for name in order:
+                seen.setdefault(name, set()).add(repr(calls[name](gp)))
+        assert all(len(values) == 1 for values in seen.values())
+
+    def test_writing_a_returned_marginal_leaves_the_summary(self):
+        gp = joint_posterior(DiagnosticData(50, 20, 15, 25), OLM_PRIOR, m=60)
+        before = posterior_summary(gp), predictive_propensity(gp)
+        for coord in ("eta", "theta"):
+            marginal_posterior(gp, coord)[:] = 0.5
+        assert (posterior_summary(gp), predictive_propensity(gp)) == before
+        assert marginal_posterior(gp, "eta").sum() == pytest.approx(1.0)
 
     def test_marginal_csv_two_columns(self):
         gp = point_mass_grid(12, 3, 4)
