@@ -20,10 +20,8 @@ probabilities or Monte Carlo histograms (see grids.density_grid).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from typing import Sequence, Tuple, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,22 +34,21 @@ AN5 = "an5"
 AN8 = "an8"
 INDEPENDENT = "indep"
 
-_OL_ROLES = ("n-", "-n", "dd")
-_NO_FLIP = (False, False)
-
 # The constructions above in machine form, from which marginals, sampling,
 # the OL closed form, the AN8 embedding and complementation are all read:
-# variant -> (roles, flip).  Each gamma component has a two-letter role, its
-# role in X then in Y: n numerator, d rest of the denominator, - absent.
-# flip marks the coordinates complemented afterwards.  The independent
-# variant's components are (a_x, b_x, a_y, b_y) of its two beta marginals.
+# variant -> roles.  Each gamma component has a two-letter role, its role in
+# X then in Y: n numerator, d rest of the denominator, - absent.  A
+# complemented coordinate is written with n and d exchanged, since
+# 1 - N/(N+D) = D/(N+D): OL- is OL+ with Y's roles exchanged, OL* with both.
+# The independent variant's components are (a_x, b_x, a_y, b_y) of its two
+# beta marginals.
 STRUCTURE = {
-    OL_PLUS: (_OL_ROLES, _NO_FLIP),
-    OL_MINUS: (_OL_ROLES, (False, True)),
-    OL_STAR: (_OL_ROLES, (True, True)),
-    AN5: (("n-", "-n", "nd", "dn", "dd"), _NO_FLIP),
-    AN8: (("n-", "-n", "d-", "-d", "nn", "dd", "nd", "dn"), _NO_FLIP),
-    INDEPENDENT: (("n-", "d-", "-n", "-d"), _NO_FLIP),
+    OL_PLUS: ("n-", "-n", "dd"),
+    OL_MINUS: ("n-", "-d", "dn"),
+    OL_STAR: ("d-", "-d", "nn"),
+    AN5: ("n-", "-n", "nd", "dn", "dd"),
+    AN8: ("n-", "-n", "d-", "-d", "nn", "dd", "nd", "dn"),
+    INDEPENDENT: ("n-", "d-", "-n", "-d"),
 }
 
 VARIANTS = frozenset(STRUCTURE)
@@ -78,14 +75,14 @@ class FamilySpec:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown family variant {self.variant!r}")
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        n = len(STRUCTURE[self.variant][0])
+        n = len(STRUCTURE[self.variant])
         if len(self.alphas) != n:
             raise ValueError(f"{self.variant} needs {n} alphas, got {len(self.alphas)}")
         if any(a < 0 or not math.isfinite(a) for a in self.alphas):
             raise ValueError(f"alphas must be finite and nonnegative, got {self.alphas}")
-        if self.variant in OL_VARIANTS and any(a <= 0 for a in self.alphas):
-            raise ValueError(f"{self.variant} needs strictly positive alphas, got {self.alphas}")
-        # marginal_params validates positivity of every aggregate shape
+        if not all(num and rest for num, rest in ratio_axes(self)):
+            raise ValueError(f"{self.variant} needs a live numerator and rest on each axis, got {self.alphas}")
+        # marginal_params rejects shape sums that overflow
         marginal_params(self)
 
     @classmethod
@@ -121,38 +118,33 @@ class FamilySpec:
         return f"{self.variant}({body})"
 
 
-@lru_cache(maxsize=None)
-def ratio_axes(variant: str) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], bool], ...]:
-    """Per coordinate: numerator indices, rest-of-denominator indices, complemented.
+def ratio_axes(family: FamilySpec) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]:
+    """Per coordinate: the indices of its live (nonzero-shape) numerator and rest of the denominator.
 
-    Coordinate k is sum(U[num]) / (sum(U[num]) + sum(U[rest])), replaced by
-    one minus that when complemented.
+    Coordinate k is sum(U[num]) / (sum(U[num]) + sum(U[rest])) for every
+    variant, complemented ones included (STRUCTURE writes those with n and d
+    exchanged).  A zero shape is absent.
     """
-    roles, flip = STRUCTURE[variant]
+    roles, shapes = STRUCTURE[family.variant], family.alphas
     return tuple(
-        (
-            tuple(i for i, r in enumerate(roles) if r[axis] == "n"),
-            tuple(i for i, r in enumerate(roles) if r[axis] == "d"),
-            flipped,
-        )
-        for axis, flipped in enumerate(flip)
+        tuple(tuple(i for i, r in enumerate(roles) if r[axis] == side and shapes[i] > 0.0) for side in "nd")
+        for axis in (0, 1)
     )
 
 
-def marginal_params(family: FamilySpec) -> Tuple[BetaParams, BetaParams]:
-    """Exact beta parameters of the two marginals.
+def _total(shapes: Sequence[float], idx: Iterable[int]) -> float:
+    """The shapes at idx added one at a time in index order (sum() compensates from Python 3.12)."""
+    total = 0.0
+    for i in sorted(idx):
+        total += shapes[i]
+    return total
 
-    Sum the shapes of each coordinate's numerator and rest-of-denominator
-    components; complemented coordinates swap (a, b).  Both sums must be
-    positive, so every axis keeps a nonzero-shape numerator and rest.
-    """
-    shapes = family.alphas
-    out = []
-    for num, rest, flipped in ratio_axes(family.variant):
-        a = reduce(operator.add, (shapes[i] for i in num))
-        b = reduce(operator.add, (shapes[i] for i in rest))
-        out.append(BetaParams(b, a) if flipped else BetaParams(a, b))
-    return out[0], out[1]
+
+def marginal_params(family: FamilySpec) -> Tuple[BetaParams, BetaParams]:
+    """Exact beta parameters of the two marginals: per coordinate, the
+    summed shapes of its numerator and of the rest of its denominator."""
+    x, y = (BetaParams(_total(family.alphas, num), _total(family.alphas, rest)) for num, rest in ratio_axes(family))
+    return x, y
 
 
 # ---------------------------------------------------------------------------
@@ -185,23 +177,18 @@ def product_moment(family: FamilySpec) -> Tuple[float, float]:
     by opposite amounts.
     """
     a = family.alphas
-    (num_x, rest_x, flip_x), (num_y, rest_y, flip_y) = ratio_axes(family.variant)
-    # 1 - N/(N+R) = R/(N+R): a complemented coordinate's numerator is its rest
-    nx, ny = set(rest_x if flip_x else num_x), set(rest_y if flip_y else num_y)
+    (num_x, rest_x), (num_y, rest_y) = ratio_axes(family)
+    nx, ny = set(num_x), set(num_y)
     dx, dy = set(num_x + rest_x), set(num_y + rest_y)
-
-    def total(idx) -> float:
-        return sum(a[i] for i in sorted(idx))
-
     # for the smaller variable of each half (x, then y): shape in its denominator
     # only, numerator shape there only, numerator shape in both denominators
-    lo = np.array([[total(dx - dy), total(dy - dx)], [total(nx - dy), total(ny - dx)],
-                   [total(nx & dy), total(ny & dx)]])[..., None, None]
-    hi, both, shared = lo[:, ::-1], total(dx & dy), total(nx & ny)
+    lo = np.array([[_total(a, dx - dy), _total(a, dy - dx)], [_total(a, nx - dy), _total(a, ny - dx)],
+                   [_total(a, nx & dy), _total(a, ny & dx)]])[..., None, None]
+    hi, both, shared = lo[:, ::-1], _total(a, dx & dy), _total(a, nx & ny)
     h, prev = 0.5, np.inf  # per-half sums of the previous rule
     while True:
         sig, d_sig = _de_nodes(h, _TAIL / sum(a))
-        g, d_g = _de_nodes(h, _TAIL + _TAIL / min(total(dx), total(dy)))
+        g, d_g = _de_nodes(h, _TAIL + _TAIL / min(_total(a, dx), _total(a, dy)))
         if sig.size * g.size > _MAX_CELLS:
             raise ValueError(f"product_moment did not converge for {family.label()}")
         # gap = log(larger/smaller) = softplus(g): double-exponential near 0, like sig beyond
@@ -254,8 +241,8 @@ def closed_form_logpdf(family: FamilySpec, x: ArrayLike, y: ArrayLike) -> ArrayL
 
     Arguments must lie strictly inside the unit square.  Raises for AN5/AN8,
     whose joint density has no closed form.  Every OL variant is the OL-
-    density evaluated with the coordinates complemented where its flips
-    differ from those of OL-.
+    density evaluated with the coordinates complemented where its role
+    column differs from that of OL- (n and d exchanged).
     """
     v = family.variant
     if v == INDEPENDENT:
@@ -270,11 +257,9 @@ def closed_form_logpdf(family: FamilySpec, x: ArrayLike, y: ArrayLike) -> ArrayL
         )
     if v not in OL_VARIANTS:
         raise ValueError(f"{v} has no closed-form joint density")
-    flip_x, flip_y = (f != g for f, g in zip(STRUCTURE[v][1], STRUCTURE[OL_MINUS][1]))
-    if flip_x:
-        x = 1.0 - np.asarray(x, dtype=float)
-    if flip_y:
-        y = 1.0 - np.asarray(y, dtype=float)
+    columns, ol_minus_columns = zip(*STRUCTURE[v]), zip(*STRUCTURE[OL_MINUS])
+    x, y = (c if col == ref else 1.0 - np.asarray(c, dtype=float)
+            for c, col, ref in zip((x, y), columns, ol_minus_columns))
     return _ol_minus_logpdf(x, y, *family.alphas)
 
 
@@ -285,22 +270,13 @@ def closed_form_logpdf(family: FamilySpec, x: ArrayLike, y: ArrayLike) -> ArrayL
 _SWAP_ND = str.maketrans("nd", "dn")
 
 
-def _an8_slots(roles: Sequence[str], flip: Tuple[bool, bool]) -> Tuple[int, ...]:
-    """The AN8 index each component of a (roles, flip) description lands on.
-
-    Complementing a coordinate exchanges its numerator and rest of the
-    denominator (1 - N/(N+D) = D/(N+D)), so a component takes the AN8 slot
-    whose role is its own with n and d swapped on every flipped axis.
-    """
-    an8_roles = STRUCTURE[AN8][0]
-    return tuple(
-        an8_roles.index("".join(c.translate(_SWAP_ND) if f else c for c, f in zip(role, flip)))
-        for role in roles
-    )
+def _an8_slots(roles: Sequence[str]) -> Tuple[int, ...]:
+    """The AN8 index of each role: the AN8 slot each component lands on."""
+    return tuple(map(STRUCTURE[AN8].index, roles))
 
 
 def _an8_vector(alphas: Sequence[float], slots: Sequence[int]) -> Tuple[float, ...]:
-    vec = [0.0] * len(STRUCTURE[AN8][0])
+    vec = [0.0] * len(STRUCTURE[AN8])
     for slot, value in zip(slots, alphas):
         vec[slot] = value
     return tuple(vec)
@@ -312,33 +288,32 @@ def an8_embedding(family: FamilySpec) -> FamilySpec:
         return family
     if family.variant == AN5:
         raise ValueError(f"no AN8 embedding for variant {family.variant}")
-    return FamilySpec(AN8, _an8_vector(family.alphas, _an8_slots(*STRUCTURE[family.variant])))
+    return FamilySpec(AN8, _an8_vector(family.alphas, _an8_slots(STRUCTURE[family.variant])))
 
 
 def complement(family: FamilySpec, which: str) -> FamilySpec:
     """The FamilySpec whose law is that of the complemented pair.
 
     ``which`` selects the complemented coordinate(s): "x", "y" or "both".
-    They are toggled in the family's flip pair, and the result is placed in
-    AN8, which is closed under every complementation.  An AN8 vector whose
-    support matches an OL or indep embedding is lowered back to that
-    variant, so OL variants relabel in place where the three-variant
-    taxonomy allows it, indep swaps the affected marginal's (a, b), and
-    double complementation is an exact involution; the (1-X, Y)-type laws,
-    which are not OL variants in this coordinate convention, stay in AN8.
-    AN5 is not closed and raises.
+    1 - N/(N+D) = D/(N+D), so n and d are exchanged in those columns of
+    the family's roles and the result is placed in AN8, which is closed
+    under every complementation.  An AN8 vector whose support matches an
+    OL or indep embedding is lowered back to that variant, so OL variants
+    relabel in place where the three-variant taxonomy allows it, indep
+    swaps the affected marginal's (a, b), and double complementation is
+    an exact involution; the (1-X, Y)-type laws, which are not OL variants
+    in this coordinate convention, stay in AN8.  AN5 is not closed and raises.
     """
     if which not in _WHICH:
         raise ValueError(f"which must be 'x', 'y' or 'both', got {which!r}")
     v = family.variant
     if v == AN5:
         raise NotClosedError("the AN5 family is not closed under complementation")
-    roles, flip = STRUCTURE[v]
-    flip = (flip[0] != _WHICH[which][0], flip[1] != _WHICH[which][1])
-    vec = _an8_vector(family.alphas, _an8_slots(roles, flip))
+    roles = ["".join(c.translate(_SWAP_ND) if f else c for c, f in zip(r, _WHICH[which])) for r in STRUCTURE[v]]
+    vec = _an8_vector(family.alphas, _an8_slots(roles))
     support = {i for i, a in enumerate(vec) if a != 0.0}
     for variant in (OL_PLUS, OL_MINUS, OL_STAR, INDEPENDENT):
-        slots = _an8_slots(*STRUCTURE[variant])
+        slots = _an8_slots(STRUCTURE[variant])
         if support == set(slots):
             return FamilySpec(variant, tuple(vec[i] for i in slots))
     return FamilySpec(AN8, vec)

@@ -163,19 +163,17 @@ def _cell_masses(family: FamilySpec, m: int) -> Optional[np.ndarray]:
     the median is a difference of complementary CDFs, so tail cells keep
     their relative accuracy.  scipy.special is imported only here.
     """
-    a = family.alphas
-    axes = [([i for i in num if a[i] > 0.0], [i for i in rest if a[i] > 0.0], flip)
-            for num, rest, flip in ratio_axes(family.variant)]
-    shared = set(sum(axes[0][:2], [])) & set(sum(axes[1][:2], []))
+    a, axes = family.alphas, ratio_axes(family)
+    shared = set(sum(axes[0], ())) & set(sum(axes[1], ()))
     if len(shared) > 1:
         return None
     sides = []  # per axis given U_s: the shape of G, and whether the cells are reversed
     if shared:
-        for num, rest, flip in axes:
+        for num, rest in axes:
             others = [i for i in num + rest if i not in shared]
             if len(others) != 1:
                 return None
-            sides.append((a[others[0]], (others[0] in rest) != flip))
+            sides.append((a[others[0]], others[0] in rest))
     import scipy.special as sc
 
     edges = np.linspace(0.0, 1.0, m + 1)

@@ -23,6 +23,7 @@ import numpy as np
 
 from .families import FamilySpec
 from .grids import DEFAULT_GRID_SAMPLES, LogCells, grid_midpoints, log_prior_cells
+from .sampling import RngState
 from .special import BetaParams
 from .serialize import csv_text, json_text
 
@@ -137,7 +138,7 @@ def joint_posterior(
     d: DiagnosticData,
     prior: PriorSpec,
     m: int = 100,
-    rng: Optional["RngState"] = None,
+    rng: Optional[RngState] = None,
     prior_samples: int = DEFAULT_GRID_SAMPLES,
 ) -> GridPosterior:
     """Grid posterior of (eta, theta) with pi profiled out by conjugacy.

@@ -94,9 +94,9 @@ def _boost_log_in_place(w: np.ndarray, u: np.ndarray, shape: float) -> None:
     w += u
 
 
-def _ratio(num: list, rest: list, flipped: bool, log_path: bool) -> np.ndarray:
-    """sum(num) / sum(num + rest), or sum(rest) over that when flipped (keeping its tail near 0);
-    on the log path the terms are exp(l - L) of the logs l, L the axis's largest log."""
+def _ratio(num: list, rest: list, log_path: bool) -> np.ndarray:
+    """sum(num) / (sum(num) + sum(rest)); on the log path the terms are
+    exp(l - L) of the logs l, L the axis's largest log."""
     if log_path:
         shift = reduce(np.maximum, num + rest)
 
@@ -107,7 +107,7 @@ def _ratio(num: list, rest: list, flipped: bool, log_path: bool) -> np.ndarray:
         num, rest = map(term, num), map(term, rest)
     top, rem = reduce(np.add, num), reduce(np.add, rest)
     c = np.add(top, rem)
-    return np.divide(rem if flipped else top, c, out=c)
+    return np.divide(top, c, out=c)
 
 
 def pair_blocks(
@@ -124,18 +124,14 @@ def pair_blocks(
     drawn in logs; the ratios are assembled from logs only where some axis's
     numerator or rest has no other shape, as its sum could underflow to 0
     (B(1e-4, 1e-4) would read 0/0), else from the exponentiated draws.  A
-    zero shape draws nothing and is absent from the sums (marginal_params
-    keeps a positive numerator and rest).
+    zero shape draws nothing (families.ratio_axes leaves it out).
     """
     from concurrent.futures import ThreadPoolExecutor
 
     shapes = family.alphas
     live = [i for i, s in enumerate(shapes) if s > 0.0]
-    axes = [
-        ([i for i in num if shapes[i] > 0.0], [i for i in rest if shapes[i] > 0.0], flipped)
-        for num, rest, flipped in families.ratio_axes(family.variant)
-    ]
-    log_path = any(all(shapes[i] < LOG_SPACE_SHAPE for i in side) for ax in axes for side in ax[:2])
+    axes = families.ratio_axes(family)
+    log_path = any(all(shapes[i] < LOG_SPACE_SHAPE for i in side) for ax in axes for side in ax)
     call_key = int(rng.generator.integers(1 << 63))
 
     def block(lo: int) -> T:
@@ -151,8 +147,7 @@ def pair_blocks(
                     np.exp(g, out=g)
             elif log_path:
                 _log_in_place(g)
-        x, y = (_ratio([draws[i] for i in num], [draws[i] for i in rest], flip, log_path)
-                for num, rest, flip in axes)
+        x, y = (_ratio([draws[i] for i in num], [draws[i] for i in rest], log_path) for num, rest in axes)
         del draws, g  # only the two coordinates stay alive while consume runs
         return consume(lo, lo + size, x, y)
 

@@ -1,5 +1,6 @@
 """CLI behavior: reproducible bytes, validation errors, file outputs."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -516,3 +517,99 @@ class TestGridTooLarge:
         assert stdout == ""
         assert len(err.strip().split("\n")) == 1
         assert json.loads(err)["error"] == (message or "MemoryError")
+
+
+# Fixed runs and the sha256 of their output bytes (a posterior's five files in
+# POSTERIOR_FILES order).  A change that alters output bytes on purpose updates
+# the digests here and says why in CHANGES.md.
+GOLDEN_RUNS = {
+    "sample_ol_plus": (
+        "sample --family ol-plus --alphas 3,1,1 --n 20000 --seed 7",
+        "97654429760e58d3e25decf5783841882cc2ad6a67206a3e5dd8fe89ce0fb2b8",
+    ),
+    "sample_ol_minus": (
+        "sample --family ol-minus --alphas 10,2.5,5 --n 20000 --seed 7",
+        "5a86d6509d9236c926d3a65862769cdbe47c23de806edc0c248d9045b11264f0",
+    ),
+    "sample_ol_star": (
+        "sample --family ol-star --alphas 2,5,0.5 --n 20000 --seed 7",
+        "a77d6cc035630ee6ab1e9274c14a5e433f0a9d899c364331c84b73267b4bedba",
+    ),
+    "sample_indep": (
+        "sample --family indep --alphas 2,3,4,1 --n 20000 --seed 7",
+        "1e49607aa8bb6541f9993bb15638e81a2504b7da16d0e664d19c13072eb34f30",
+    ),
+    "sample_an5": (
+        "sample --family an5 --alphas 5,5,5,5,1e-4 --n 20000 --seed 7",
+        "f45324e1d4480c16fa272a82079a2eb5e01466a19b15dd212fbc2ebd57f5aa64",
+    ),
+    "sample_an5_zeros": (
+        "sample --family an5 --alphas 1e-4,2,0,0,0.05 --n 20000 --seed 7",
+        "aa7fcfa66563b2e746cfcf299a5ebe60fcc8c5b1f7c1331b042df043db4531e0",
+    ),
+    "sample_an8": (
+        "sample --family an8 --alphas 1,2,3,0.5,1.5,2.5,0.7,1.2 --n 20000 --seed 7",
+        "0d9b70ddb0a770f8beef98c63fbc66e947c55895d7d17f24856eb9be146fa794",
+    ),
+    "density_ol_plus": (
+        "density --family ol-plus --alphas 3,1,1 --m 30 --format json",
+        "4b2ebbf952931b63c9514349de9e630bf95459fde653c2c8560b489f3f69f809",
+    ),
+    "density_an8_exact": (
+        "density --family an8 --alphas 10,0,0,2.5,0,0,0,5 --m 30 --format json",
+        "157bcef70ea802429bfa56792b4a3837dcfec5a792a855bd090ebae0803ae603",
+    ),
+    "density_an5_histogram": (
+        "density --family an5 --alphas 5,5,5,5,1e-4 --m 30 --mc-samples 100000 --seed 7 --format json",
+        "68488fbd3e3904b137d3f5f29b95c9305c835a4e8163da47820359f9437b71fa",
+    ),
+    "posterior_ol_minus": (
+        "posterior --prior-family ol-minus --prior-alphas 10,2.5,5 --data 100,35,28,50 --m 40",
+        "26bba59b35f8d910e6f3c3a4532514b54c9877e67f75127b6dfd46d3a8a4a06b",
+    ),
+    "posterior_an8_exact": (
+        "posterior --prior-family an8 --prior-alphas 10,0,0,2.5,0,0,0,5 --data 100,35,28,50 --m 40",
+        "e7658873f36d699dbd6e8bdf58596f3ed58db31156ad08a59d5409be69a977f7",
+    ),
+    "posterior_an5_histogram": (
+        "posterior --prior-family an5 --prior-alphas 5,5,5,5,1e-4 --data 100,35,28,50 --m 40 "
+        "--mc-samples 100000 --seed 7",
+        "4864119e62904a4fe06aa9022b0886bf9eab6469a282876c31a9dc0bda35b9e2",
+    ),
+    "tables_4": (
+        "tables --table 4",
+        "c5579726c3ea0fa79b85b86bfe7e1d9d63d0ced8f26e4e49fca84ca78b5bdc9e",
+    ),
+    "tables_5": (
+        "tables --table 5",
+        "2d0969f668ba996e7ae4ec4bce7e037a212ab132718bfcd41d93c6aeecb43b79",
+    ),
+    "tables_6": (
+        "tables --table 6",
+        "515e4858f84dc89e02fb175891bdc9fe29006695e4405b0d9021e1f09ae54a2d",
+    ),
+    "closure_check_ol_star": (
+        "closure-check --family ol-star --alphas 2,5,0.5 --which x",
+        "59acf1ea7555457ee500419c064026fff763f3b9e6d19e5997a880d103a67343",
+    ),
+}
+POSTERIOR_FILES = ("weights.csv", "grid.json", "marginal_eta.csv", "marginal_theta.csv", "summary.json")
+
+
+def golden_output(capsys, tmp_path, argv: str) -> bytes:
+    out = tmp_path / "out"
+    rc, _, err = run(capsys, *argv.split(), "--out", str(out))
+    assert rc == 0, err
+    if argv.startswith("posterior"):
+        return b"".join((tmp_path / f"out.{suffix}").read_bytes() for suffix in POSTERIOR_FILES)
+    return out.read_bytes()
+
+
+class TestGoldenBytes:
+    """Every subcommand's output bytes for fixed flags: sampling, closed forms, exact
+    cells, histograms, posteriors, tables and complementation."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_output_digest(self, capsys, tmp_path, name):
+        argv, digest = GOLDEN_RUNS[name]
+        assert hashlib.sha256(golden_output(capsys, tmp_path, argv)).hexdigest() == digest

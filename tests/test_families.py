@@ -4,6 +4,7 @@ import json
 import math
 import warnings
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy import stats as sp_stats
 
+from bibeta import sampling
 from bibeta.cli import _closure_oracle
 from bibeta.families import (
     AN5,
@@ -34,6 +36,14 @@ from bibeta.inference import DiagnosticData, PriorSpec, joint_posterior
 from bibeta.sampling import RngState, sample_pairs
 from bibeta.special import BetaParams
 from bibeta.survivability import Interdependent, SurvivabilityScenario, survivability
+from flip_table import (
+    FLIP_STRUCTURE,
+    flip_an8_embedding,
+    flip_axes,
+    flip_complement,
+    flip_marginal_params,
+    flip_valid,
+)
 
 ALPHA_SETS_3 = [(1.0, 1.0, 1.0), (3.0, 1.0, 1.0), (10.0, 2.5, 5.0)]
 # the OL densities under test, named after the density they evaluate
@@ -51,6 +61,14 @@ RATIO_STRUCTURE = {
     AN5: (((0, 2), (3, 4)), ((1, 3), (2, 4))),
     AN8: (((0, 4, 6), (2, 5, 7)), ((1, 4, 7), (3, 5, 6))),
     INDEPENDENT: (((0,), (1,)), ((2,), (3,))),
+}
+# coordinates each variant complements; ratio_axes exchanges their numerator and rest
+RATIO_COMPLEMENTED = {OL_MINUS: (False, True), OL_STAR: (True, True)}
+# valid alpha vectors with zero shapes, which ratio_axes leaves out
+ZERO_SHAPE_CASES = {
+    AN5: [(0, 0, 1, 1, 1), (1e-4, 2, 0, 0, 0.05), (1, 1, 0, 0, 1), (0, 0, 2, 3, 0)],
+    AN8: [(10, 0, 0, 2.5, 0, 0, 0, 5), (2, 0.5, 3, 4, 0, 0, 0, 0), (1e-3, 0, 2, 0, 0, 1, 0, 3),
+          (0, 1, 2, 0, 0, 0, 3, 0), (0, 0, 0, 0, 1, 1, 1, 1), (0, 0, 2, 3, 4, 0, 0, 0)],
 }
 # AN8 index permutations induced by V -> 1/V (complement x) and W -> 1/W
 # (complement y): the complemented vector is alphas[perm[i]]
@@ -332,6 +350,9 @@ class TestComplement:
 
 
 POSITIVE = st.floats(min_value=1e-3, max_value=50.0)
+ZERO_OR_SHAPE = st.one_of(
+    st.just(0.0), st.sampled_from([1e-4, 0.05, 1.0]), st.floats(min_value=1e-4, max_value=50.0)
+)
 DYADIC = st.integers(min_value=1, max_value=3200).map(lambda k: k / 64)
 
 
@@ -375,8 +396,48 @@ class TestStructureTable:
 
     @pytest.mark.parametrize("variant", sorted(RATIO_STRUCTURE))
     def test_ratio_axes_match_index_sets(self, variant):
-        (xnum, xrest, _), (ynum, yrest, _) = ratio_axes(variant)
-        assert ((xnum, xrest), (ynum, yrest)) == RATIO_STRUCTURE[variant]
+        """ratio_axes is RATIO_STRUCTURE with n and d exchanged on the complemented
+        coordinates, less the zero shapes."""
+        flips = RATIO_COMPLEMENTED.get(variant, (False, False))
+        n = 1 + max(i for axis in RATIO_STRUCTURE[variant] for side in axis for i in side)
+        for alphas in [(1.0,) * n, *ZERO_SHAPE_CASES.get(variant, [])]:
+            spec = FamilySpec(variant, alphas)
+            expected = tuple(
+                tuple(tuple(i for i in side if spec.alphas[i] > 0.0) for side in (sides[::-1] if flip else sides))
+                for sides, flip in zip(RATIO_STRUCTURE[variant], flips)
+            )
+            assert ratio_axes(spec) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_role_table_reproduces_the_flip_table(self, data):
+        """Every variant, zero shapes included: validity, coordinates (linear and log path,
+        bit for bit), marginals, AN8 embedding and complements equal the (roles, flip) table's."""
+        variant = data.draw(st.sampled_from(sorted(FLIP_STRUCTURE)))
+        alphas = data.draw(st.tuples(*[ZERO_OR_SHAPE] * len(FLIP_STRUCTURE[variant][0])))
+        if not flip_valid(variant, alphas):
+            with pytest.raises(ValueError, match=variant):
+                FamilySpec(variant, alphas)
+            return
+        spec = FamilySpec(variant, alphas)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        logs = rng.uniform(-300.0, 300.0, (len(alphas), 64))
+        u = np.exp(logs)
+        for (num, rest), (old_num, old_rest, flipped) in zip(ratio_axes(spec), flip_axes(variant)):
+            old_num, old_rest = [i for i in old_num if alphas[i] > 0.0], [i for i in old_rest if alphas[i] > 0.0]
+            shift = reduce(np.maximum, [logs[i] for i in old_num + old_rest])
+            for source, log_path in ((u, False), (logs, True)):
+                term = (lambda i: np.exp(logs[i] - shift)) if log_path else u.__getitem__
+                top, rem = reduce(np.add, map(term, old_num)), reduce(np.add, map(term, old_rest))
+                expected = (rem if flipped else top) / (top + rem)
+                got = sampling._ratio([source[i] for i in num], [source[i] for i in rest], log_path)
+                assert got.tobytes() == expected.tobytes()
+        assert marginal_params(spec) == flip_marginal_params(spec)
+        if variant == AN5:
+            return
+        assert an8_embedding(spec) == flip_an8_embedding(spec)
+        for which in COMPLEMENTED:
+            assert complement(spec, which) == flip_complement(spec, which)
 
     @pytest.mark.parametrize("variant", sorted(OL_EMBED_SLOTS))
     def test_an8_embedding_slots(self, variant):

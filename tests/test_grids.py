@@ -206,8 +206,8 @@ class TestExactBinning:
 
 def complement_an8(spec: FamilySpec, flip) -> FamilySpec:
     """The AN8 vector of (1-X, Y), (X, 1-Y) or (1-X, 1-Y) for flip (x, y), never lowered to OL or indep."""
-    roles = families.STRUCTURE[families.AN8][0]
-    return FamilySpec.an8(*families._an8_vector(spec.alphas, families._an8_slots(roles, flip)))
+    which = {(True, False): "x", (False, True): "y", (True, True): "both"}[flip]
+    return an8_embedding(families.complement(spec, which))
 
 
 def beta_cells(a: float, b: float, m: int) -> np.ndarray:
@@ -328,7 +328,7 @@ class TestExactCells:
 
         shared is the AN8 slot on both axes (None: indep support); each axis gets the axis-only
         slot of the other role."""
-        roles = families.STRUCTURE[families.AN8][0]
+        roles = families.STRUCTURE[families.AN8]
         if shared is None:
             slots = (0, 2, 1, 3)
         else:

@@ -1,12 +1,22 @@
-"""Package surface: every exported name resolves; the CLI imports no scipy unless a grid needs it."""
+"""Package surface: every exported name and annotation resolves, every import is used, and
+the CLI imports no scipy unless a grid needs it."""
 
+import ast
+import importlib
+import inspect
 import os
+import pathlib
+import pkgutil
 import subprocess
 import sys
+import typing
 
 import pytest
 
 import bibeta
+
+# __main__ defines nothing and runs the CLI when imported
+MODULES = sorted(info.name for info in pkgutil.iter_modules(bibeta.__path__) if info.name != "__main__")
 
 
 def test_all_names_resolve():
@@ -18,6 +28,55 @@ def test_star_import():
     namespace = {}
     exec("from bibeta import *", namespace)
     assert set(bibeta.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_type_hints_resolve(name):
+    """typing.get_type_hints resolves for every function, class and method a module defines."""
+    module = importlib.import_module(f"bibeta.{name}")
+    for obj in vars(module).values():
+        if not (inspect.isfunction(obj) or inspect.isclass(obj)) or obj.__module__ != module.__name__:
+            continue
+        typing.get_type_hints(obj)
+        if inspect.isclass(obj):
+            for member in vars(obj).values():
+                if inspect.isfunction(member):
+                    typing.get_type_hints(member)
+
+
+def imported_but_unused(path: pathlib.Path) -> list:
+    """Module-level imports never named in the module's code or in its string annotations."""
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update({(a.asname or a.name).split(".")[0]: node.lineno for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update({a.asname or a.name: node.lineno for a in node.names})
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    annotations = [n.annotation for n in ast.walk(tree) if isinstance(n, (ast.arg, ast.AnnAssign))]
+    annotations += [n.returns for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for annotation in filter(None, annotations):
+        for const in ast.walk(annotation):
+            if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                used |= {n.id for n in ast.walk(ast.parse(const.value, mode="eval")) if isinstance(n, ast.Name)}
+    return sorted(f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used)
+
+
+SOURCES = sorted(p for p in pathlib.Path(bibeta.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_every_import_is_used(path):
+    """Each module-level import in a module is used there (__init__ re-exports, __future__ exempt)."""
+    assert imported_but_unused(path) == []
+
+
+def test_unused_import_guard_can_fail(tmp_path):
+    """The check above sees an import used nowhere, and one used only in a string annotation."""
+    source = tmp_path / "module.py"
+    source.write_text('import operator\nfrom typing import Tuple\n\ndef f(x: "Tuple[int]") -> None:\n    pass\n')
+    assert imported_but_unused(source) == ["module.py:1 operator"]
 
 
 def test_cli_import_does_not_load_scipy():

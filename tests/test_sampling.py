@@ -31,6 +31,7 @@ from bibeta.sampling import (
     sample_pairs,
 )
 from bibeta.special import BetaParams
+from flip_table import flip_axes
 
 # exact correlations of the OL construction, frozen from 2-D adaptive
 # quadrature of the closed-form density (abs tol 1e-10)
@@ -305,7 +306,7 @@ def takes_log_path(family: FamilySpec) -> bool:
     shapes = family.alphas
     return any(
         all(shapes[i] < LOG_SPACE_SHAPE for i in side if shapes[i] > 0.0)
-        for num, rest, _ in families.ratio_axes(family.variant)
+        for num, rest, _ in flip_axes(family.variant)
         for side in (num, rest)
     )
 
@@ -315,11 +316,13 @@ def reference_pairs(rng: RngState, family: FamilySpec, n: int, log_path=None, dt
 
     Each nonzero-shape component j is drawn block by block from its
     sub-stream rng.child(call_key, j, k) and the blocks are concatenated;
-    both ratios are then assembled once over all n draws with the same
-    arithmetic, in log space where takes_log_path says so (or log_path
-    forces).  The block-parallel sampler must reproduce these bytes for any
-    n and any core count.  With dtype=np.longdouble the same draws are
-    assembled in extended precision.
+    both ratios are then assembled once over all n draws from the (roles,
+    flip) table of flip_table, a complemented coordinate dividing its rest,
+    in log space where takes_log_path says so (or log_path forces).  Sums
+    add in index order, as the sampler's do, and the ratio's denominator
+    top + rem equals rem + top bit for bit, so the block-parallel sampler
+    must reproduce these bytes for any n and any core count.  With
+    dtype=np.longdouble the same draws are assembled in extended precision.
     """
     shapes, b = family.alphas, sampling.BLOCK
     if log_path is None:
@@ -347,7 +350,7 @@ def reference_pairs(rng: RngState, family: FamilySpec, n: int, log_path=None, dt
             draws[i] = g
         draws[i] = draws[i].astype(dtype)
     coords = []
-    for num, rest, flipped in families.ratio_axes(family.variant):
+    for num, rest, flipped in flip_axes(family.variant):
         num = [draws[i] for i in num if i in draws]
         rest = [draws[i] for i in rest if i in draws]
         if log_path:
