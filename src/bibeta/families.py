@@ -55,6 +55,10 @@ VARIANTS = frozenset(STRUCTURE)
 OL_VARIANTS = frozenset({OL_PLUS, OL_MINUS, OL_STAR})
 CLOSED_FORM_VARIANTS = frozenset({OL_PLUS, OL_MINUS, OL_STAR, INDEPENDENT})
 
+# Nonzero shapes lie in [MIN_SHAPE, MAX_SHAPE]: subnormal shapes make gamma
+# draws NaN, and near 2.6e305 lgamma overflows.  No sum of eight shapes overflows.
+MIN_SHAPE, MAX_SHAPE = 1e-300, 1e300
+
 # coordinates complemented by each ``which`` of complement()
 _WHICH = {"x": (True, False), "y": (False, True), "both": (True, True)}
 
@@ -78,12 +82,12 @@ class FamilySpec:
         n = len(STRUCTURE[self.variant])
         if len(self.alphas) != n:
             raise ValueError(f"{self.variant} needs {n} alphas, got {len(self.alphas)}")
-        if any(a < 0 or not math.isfinite(a) for a in self.alphas):
-            raise ValueError(f"alphas must be finite and nonnegative, got {self.alphas}")
+        if not all(a == 0.0 or MIN_SHAPE <= a <= MAX_SHAPE for a in self.alphas):
+            raise ValueError(
+                f"{self.variant} shapes must be finite, 0 or in [{MIN_SHAPE}, {MAX_SHAPE}], got {self.alphas}"
+            )
         if not all(num and rest for num, rest in ratio_axes(self)):
             raise ValueError(f"{self.variant} needs a live numerator and rest on each axis, got {self.alphas}")
-        # marginal_params rejects shape sums that overflow
-        marginal_params(self)
 
     @classmethod
     def ol_plus(cls, a1: float, a2: float, a3: float) -> "FamilySpec":

@@ -11,9 +11,9 @@ on both axes, else Monte Carlo histograms scaled by m^2 / n_samples.
 The histogram is numpy's 2-D histogram on m equal bins of [0, 1], count
 for count: each block of pairs is binned by an exact cell index (floor(c m),
 corrected once against the same np.linspace edges) as it is assembled, and
-the blocks' bincounts are summed.  A posterior's prior grid is made here
-too: log_prior_cells caches it read-only, exact or the log of a histogram,
-with its largest value.
+the blocks' bincounts are summed.  density_grid and log_prior_cells (a
+posterior's prior) read every grid, in log form with its largest value, from
+one read-only cache, _log_cells.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def density_grid(
     """
     if m < 2:
         raise ValueError(f"grid resolution m must be >= 2, got {m}")
-    exact = _exact_log_cells(family, m)
+    exact = _log_cells(family, m)
     if exact is not None:
         # max-subtraction before exp keeps sharply concentrated densities
         # from underflowing on every cell
@@ -128,7 +128,7 @@ def density_grid(
             f"for a histogram density, got {n_samples}"
         )
     if rng is None:
-        raise ValueError(f"{family.variant} density estimation requires an RngState")
+        raise ValueError(f"a {family.variant} histogram density needs an RngState")
     seed = rng.identity
     edges = np.linspace(0.0, 1.0, m + 1)
     blocks = pair_blocks(rng, family, n_samples, lambda lo, hi, x, y: _cell_counts(x, y, edges))
@@ -203,8 +203,11 @@ def _cell_masses(family: FamilySpec, m: int) -> Optional[np.ndarray]:
     z_lo = sc.gammaincinv(a_s, _TAIL_MASS)
     # where z_lo underflows, P(U < z) <= z^a / Gamma(a+1) bounds the lower tail
     t_lo = math.log(z_lo) if z_lo > 0.0 else (math.log(_TAIL_MASS) + math.lgamma(a_s + 1.0)) / a_s
-    tau_lo = t_lo if t_lo > _KNEE else _KNEE - math.log1p(_KNEE - t_lo)
-    tau_hi = math.log(sc.gammainccinv(a_s, _TAIL_MASS))
+    z_hi = sc.gammainccinv(a_s, _TAIL_MASS)  # under the knee below shape ~7e-20, 0 below ~1e-21
+    t_hi = math.log(z_hi) if z_hi > 0.0 else -math.inf
+    tau_lo, tau_hi = (t if t > _KNEE else _KNEE - math.log1p(_KNEE - t) for t in (t_lo, t_hi))
+    if not -math.inf < tau_lo < tau_hi < math.inf:
+        raise ValueError(f"exact cells of {family.label()} have an empty tau range [{tau_lo:g}, {tau_hi:g}]")
     h = min(0.5, (tau_hi - tau_lo) / 16)
     tau = np.arange(tau_lo, tau_hi + h, h)
     acc, total, prev, nodes = np.zeros((m, m)), 0.0, None, 0
@@ -234,32 +237,28 @@ class LogCells(NamedTuple):
     top: float
 
 
-# One exact evaluation per (family, m), shared by density grids and posteriors.
-@lru_cache(maxsize=16)
-def _exact_log_cells(family: FamilySpec, m: int) -> Optional[LogCells]:
-    """Log midpoint density of a closed form, log _cell_masses, or None for a histogram."""
+# The exact rules are keyed by (family, m), a histogram by (family, m,
+# n_samples, (seed, stream)): posterior re-runs across different data vary
+# only through the likelihood.  Bounded so seed sweeps don't accumulate grids.
+@lru_cache(maxsize=32)
+def _log_cells(
+    family: FamilySpec, m: int, n_samples: Optional[int] = None, seed: Optional[Tuple[int, int]] = None
+) -> Optional[LogCells]:
+    """The log of a family's grid and its max: the exact rule, or None where there is none.
+
+    With n_samples, the log of density_grid's histogram of that many draws
+    of RngState(*seed); density_grid refuses a missing seed.
+    """
     if family.has_closed_form:
         mid = grid_midpoints(m)
         log_cells = closed_form_logpdf(family, mid[:, None], mid[None, :])
     else:
-        masses = _cell_masses(family, m)
-        if masses is None:
+        rng = RngState(*seed) if seed else None
+        cells = _cell_masses(family, m) if n_samples is None else density_grid(family, m, n_samples, rng).cells
+        if cells is None:
             return None
         with np.errstate(divide="ignore"):
-            log_cells = np.log(masses)
-    log_cells.flags.writeable = False
-    return LogCells(log_cells, float(log_cells.max()))
-
-
-# One histogram per (family, m, n_samples, seed, stream): posterior re-runs
-# across different data must vary only through the likelihood.  Bounded so
-# seed sweeps don't accumulate grids indefinitely.
-@lru_cache(maxsize=16)
-def _histogram_log_cells(family: FamilySpec, m: int, n_samples: int, seed: int, stream: int) -> LogCells:
-    """Log histogram density of an AN5/AN8 family on the m x m grid."""
-    grid = density_grid(family, m=m, n_samples=n_samples, rng=RngState(seed, stream))
-    with np.errstate(divide="ignore"):
-        log_cells = np.log(grid.cells)
+            log_cells = np.log(cells)
     log_cells.flags.writeable = False
     return LogCells(log_cells, float(log_cells.max()))
 
@@ -267,14 +266,10 @@ def _histogram_log_cells(family: FamilySpec, m: int, n_samples: int, seed: int, 
 def log_prior_cells(family: FamilySpec, m: int, n_samples: int, rng: Optional[RngState]) -> LogCells:
     """Read-only log prior on the m x m grid, up to a constant, and its max, cached.
 
-    Closed forms and exact AN5/AN8 cells (see density_grid) are cached per
-    (family, m) and ignore n_samples and rng.  Other AN5/AN8 vectors take
-    the log of their histogram density, identified by the rng's (seed,
-    stream); its generator is not consumed, so one state names one grid.
+    Closed forms and exact AN5/AN8 cells (see density_grid) ignore
+    n_samples and rng.  Other AN5/AN8 vectors take the log of their
+    histogram density, identified by the rng's (seed, stream); its
+    generator is not consumed, so one state names one grid.
     """
-    exact = _exact_log_cells(family, m)
-    if exact is not None:
-        return exact
-    if rng is None:
-        raise ValueError(f"a {family.variant} prior needs an RngState for its density grid")
-    return _histogram_log_cells(family, m, n_samples, *rng.identity)
+    exact = _log_cells(family, m)
+    return exact if exact is not None else _log_cells(family, m, n_samples, rng and rng.identity)

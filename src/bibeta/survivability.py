@@ -166,17 +166,6 @@ def table_csv(rows: List[TableRow]) -> str:
     body = []
     for row in rows:
         r = row.report
-        body.append(
-            [
-                row.label,
-                r.component_survivability[0],
-                r.component_survivability[1],
-                r.variances[0],
-                r.variances[1],
-                r.correlation,
-                r.system_survivability,
-                r.method,
-                r.corr_std_error,
-            ]
-        )
+        body.append((row.label, *r.component_survivability, *r.variances, r.correlation, r.system_survivability,
+                     r.method, r.corr_std_error))
     return csv_text(header, body)

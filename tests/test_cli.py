@@ -119,6 +119,25 @@ class TestDensity:
         assert len(err.strip().split("\n")) == 1
         assert "finite" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sample", "--family", "ol-plus", "--alphas", "1e-310,1e-310,1e-310", "--n", "2000", "--seed", "3"),
+            ("density", "--family", "ol-plus", "--alphas", "1e306,1e306,1e306", "--m", "4"),
+            ("density", "--family", "indep", "--alphas", "5e307,5e307,1,1"),
+            ("posterior", "--prior-family", "ol-minus", "--prior-alphas", "1e305,1e305,1e305",
+             "--data", "10,5,2,3", "--m", "10", "--out", "unused"),
+        ],
+        ids=["sample_subnormal", "density_huge", "indep_huge", "posterior_huge"],
+    )
+    def test_shape_out_of_range_is_json(self, capsys, argv):
+        """Subnormal shapes wrote NaN pairs with exit 0; huge ones overflowed lgamma with a traceback."""
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert len(err.strip().split("\n")) == 1
+        assert "shapes must be finite, 0 or in [1e-300, 1e+300]" in json.loads(err)["error"]
+
 
 class TestPosterior:
     def test_prior_recovery(self, capsys, tmp_path):

@@ -141,6 +141,19 @@ class TestFamilySpec:
         spec = FamilySpec.independent(BetaParams(2, 3), BetaParams(1, 1))
         assert marginal_params(spec) == (BetaParams(2, 3), BetaParams(1, 1))
 
+    @pytest.mark.parametrize("shape", [1e-310, 1e-308, 5e-324, 1e306, 2.56e305, 5e307, -1e-300, math.inf, math.nan])
+    def test_shapes_out_of_range_rejected(self, shape):
+        """Subnormal shapes made sample NaN and huge ones overflowed lgamma; both are refused by name."""
+        for variant, alphas in (("ol-plus", (shape, 1.0, 1.0)), ("indep", (1.0, 1.0, 1.0, shape))):
+            with pytest.raises(ValueError, match=variant):
+                FamilySpec(variant, alphas)
+
+    @pytest.mark.parametrize("shape", [1e-300, 1e300])
+    def test_shape_range_ends_accepted(self, shape):
+        spec = FamilySpec.ol_plus(shape, shape, shape)
+        assert marginal_params(spec)[0] == BetaParams(shape, shape)
+        assert FamilySpec.an8(*[shape] * 8).alphas == (shape,) * 8
+
     def test_independent_is_an_alpha_vector(self):
         spec = FamilySpec.independent(BetaParams(2, 3), BetaParams(1, 4))
         assert spec == FamilySpec(INDEPENDENT, (2, 3, 1, 4))

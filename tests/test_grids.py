@@ -52,10 +52,10 @@ class TestClosedFormGrids:
         """A density grid and a posterior prior of one (family, m) evaluate the pdf once."""
         spec = FamilySpec.ol_star(2, 3, 0.5)
         first = density_grid(spec, m=23)
-        hits = grids._exact_log_cells.cache_info().hits
+        hits = grids._log_cells.cache_info().hits
         prior = grids.log_prior_cells(spec, 23, 0, None)
         again = density_grid(spec, m=23)
-        assert grids._exact_log_cells.cache_info().hits == hits + 2
+        assert grids._log_cells.cache_info().hits == hits + 2
         assert again.cells.tobytes() == first.cells.tobytes()
         assert prior.top == prior.cells.max()
         cells = np.exp(prior.cells - prior.cells.max())
@@ -348,6 +348,23 @@ class TestExactCells:
         family = an8_embedding(FamilySpec.ol_minus(10, 2.5, 5))
         with pytest.raises(ValueError, match=re.escape(family.label())):
             grids._cell_masses(family, 20)
+
+    @pytest.mark.parametrize("shared", [1e-20, 5e-20, 1e-19])
+    def test_upper_tau_end_below_the_knee(self, shared):
+        """Below ~7e-20 the upper tail quantile of the shared component lies under the knee too."""
+        family = FamilySpec.an8(1, 0, 0, 1, 0, 0, 0, shared)
+        cells = grids._cell_masses(family, 8)
+        assert np.all(cells >= 0.0) and abs(cells.sum() - 1.0) <= 1e-13
+        px, py = families.marginal_params(family)
+        assert np.abs(cells.sum(axis=1) - beta_cells(px.a, px.b, 8)).sum() <= 1e-10
+        assert np.abs(cells.sum(axis=0) - beta_cells(py.a, py.b, 8)).sum() <= 1e-10
+
+    @pytest.mark.parametrize("shared", [1e-300, 1e-21, 1e31, 1e300], ids=["tiny", "underflow", "collapsed", "huge"])
+    def test_empty_tau_range_raises_naming_the_family(self, shared):
+        """Below ~1e-21 the upper tau end underflows to -inf; from 1e31 the range is one float."""
+        family = FamilySpec.an8(1, 0, 0, 1, 0, 0, 0, shared)
+        with pytest.raises(ValueError, match=re.escape(family.label()) + ".*tau range"):
+            grids._cell_masses(family, 4)
 
     def test_memory_does_not_grow_with_the_node_count(self, monkeypatch):
         """Nodes are accumulated in chunks: 8192 nodes peak under 1.5x the peak of 1024."""

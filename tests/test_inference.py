@@ -13,7 +13,7 @@ from scipy import stats as sp_stats
 
 import bibeta.inference as inference
 from bibeta.families import FamilySpec, an8_embedding, closed_form_logpdf
-from bibeta.grids import LogCells, grid_midpoints
+from bibeta.grids import LogCells, density_grid, grid_midpoints
 from bibeta.inference import (
     DegeneratePosteriorError,
     DiagnosticData,
@@ -250,11 +250,20 @@ class TestJointPosterior:
         d = DiagnosticData(50, 20, 15, 25)
         rng = RngState(74)
         joint_posterior(d, AN5_PRIOR, m=20, rng=rng, prior_samples=10_000)
-        hits = grids._histogram_log_cells.cache_info().hits
+        hits = grids._log_cells.cache_info().hits
         joint_posterior(d, AN5_PRIOR, m=20, rng=rng, prior_samples=10_000)
-        assert grids._histogram_log_cells.cache_info().hits == hits + 1
+        # one hit finds no exact rule, the other the histogram
+        assert grids._log_cells.cache_info().hits == hits + 2
         grid = grids.log_prior_cells(AN5_PRIOR.eta_theta_prior, 20, 10_000, rng)
         assert not grid.cells.flags.writeable and grid.top == grid.cells.max()
+
+    def test_histogram_prior_needs_an_rng_state(self):
+        """Without an RngState a histogram prior raises density_grid's own error."""
+        with pytest.raises(ValueError) as direct:
+            density_grid(AN5_PRIOR.eta_theta_prior, m=20, n_samples=10_000)
+        with pytest.raises(ValueError) as posterior:
+            joint_posterior(DiagnosticData(50, 20, 15, 25), AN5_PRIOR, m=20, prior_samples=10_000)
+        assert str(posterior.value) == str(direct.value) == "a an5 histogram density needs an RngState"
 
     def test_closed_form_prior_grid_is_cached_read_only(self):
         """The exact prior is built once per (family, m) and reused byte for byte."""
@@ -262,9 +271,9 @@ class TestJointPosterior:
 
         family, m = OLM_PRIOR.eta_theta_prior, 37
         first = joint_posterior(DiagnosticData(50, 20, 15, 25), OLM_PRIOR, m=m)
-        hits = grids._exact_log_cells.cache_info().hits
+        hits = grids._log_cells.cache_info().hits
         again = joint_posterior(DiagnosticData(50, 20, 15, 25), OLM_PRIOR, m=m)
-        assert grids._exact_log_cells.cache_info().hits == hits + 1
+        assert grids._log_cells.cache_info().hits == hits + 1
         assert again.weights.tobytes() == first.weights.tobytes()
         grid = grids.log_prior_cells(family, m, 0, None).cells
         assert not grid.flags.writeable

@@ -2,14 +2,16 @@
 
 perfbench/ imports bibeta from outside the package, so a refactor of src/
 could break it without any other test noticing.  Every name it imports
-from bibeta, every attribute it reads off such a name, and every class
-method the tracer wraps must exist.
+from bibeta, every attribute it reads off such a name, every class method
+the tracer wraps, and every attribute its counters read off a traced
+call's result must exist.
 """
 
 import ast
 import importlib
 import importlib.util
 import types
+import typing
 from pathlib import Path
 
 import pytest
@@ -80,3 +82,45 @@ def test_tracer_modules_and_methods_resolve():
         cls = getattr(importlib.import_module(f"bibeta.{home}"), cls_name)
         for method in methods:
             assert callable(getattr(cls, method)), f"{home}.{cls_name}.{method}"
+
+
+def attribute_type(owner: type, name: str):
+    """The annotated type of owner.name: a field's annotation, or a property's return annotation."""
+    hints = typing.get_type_hints(owner)
+    if name in hints:
+        return hints[name]
+    member = getattr(owner, name, None)
+    assert isinstance(member, property), f"{owner.__name__}.{name} is neither a field nor a property"
+    return typing.get_type_hints(member.fget).get("return")
+
+
+def result_chains(counter: ast.Lambda):
+    """Each attribute chain the lambda reads off its third argument, the traced call's result."""
+    result = counter.args.args[2].arg
+    for node in ast.walk(counter.body):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.insert(0, node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id == result:
+            yield chain
+
+
+def test_tracer_counters_read_annotated_result_attributes():
+    """grids.density_grid's counter reads DensityGrid.n_samples and .estimated, and so on."""
+    tree = ast.parse((PERFBENCH / "tracer.py").read_text())
+    make = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_make_counters")
+    counters = next(n for n in ast.walk(make) if isinstance(n, ast.Return)).value
+    checked = []
+    for key, counter in zip(counters.keys, counters.values):
+        if not isinstance(counter, ast.Lambda):
+            continue
+        home, name = ast.literal_eval(key).split(".")
+        returned = typing.get_type_hints(getattr(importlib.import_module(f"bibeta.{home}"), name))["return"]
+        for chain in result_chains(counter):
+            owner = returned
+            for attr in chain:
+                assert isinstance(owner, type), f"{home}.{name}: {'.'.join(chain)} reads {attr} off {owner}"
+                owner = attribute_type(owner, attr)
+            checked.append(f"{home}.{name}: {'.'.join(chain)}")
+    assert checked, "no counter reads an attribute of a result"
