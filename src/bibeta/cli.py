@@ -8,10 +8,13 @@ JSON error object on stderr.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
-from typing import List, NoReturn, Optional, Sequence
+from typing import Iterable, List, NoReturn, Optional, Sequence, Union
+
+import numpy as np
 
 from . import __version__, families
 from .families import FamilySpec, an8_embedding, complement
@@ -25,7 +28,7 @@ from .inference import (
     posterior_summary,
     predictive_propensity,
 )
-from .sampling import RngState, sample_pairs
+from .sampling import RngState, pair_blocks, sample_pairs
 from .special import BetaParams
 from .survivability import (
     Interdependent,
@@ -35,7 +38,7 @@ from .survivability import (
     table_csv,
 )
 from .synth import SynthConfig, generate, true_params
-from .serialize import csv_text, json_text, write_text
+from .serialize import csv_rows, json_text, write_text
 
 
 class CliError(ValueError):
@@ -71,9 +74,10 @@ def _family_from_flags(variant: Optional[str], alphas: Optional[str], prefix: st
     return FamilySpec(variant, tuple(_parse_floats(alphas, f"{prefix}alphas")))
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text: Union[str, Iterable[str]], out: Optional[str]) -> None:
+    """Write text, or each string of an iterable in order, to stdout ('-' or None) or to out."""
     if out is None or out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines([text] if isinstance(text, str) else text)
     else:
         try:
             write_text(out, text)
@@ -97,12 +101,15 @@ def _cmd_sample(args: argparse.Namespace) -> None:
     if args.n < 0:
         raise CliError(f"--n must be >= 0, got {args.n}")
     rng = RngState(args.seed, args.stream)
-    x, y = sample_pairs(rng, family, args.n)
     if args.format == "csv":
-        _emit(csv_text(["x", "y"], zip(x.tolist(), y.tolist())), args.out)
+        # each block is formatted on its worker and written in block order, so
+        # no array or string of n pairs is ever built
+        blocks = pair_blocks(rng, family, args.n, lambda lo, hi, x, y: csv_rows(np.column_stack((x, y))))
+        _emit(itertools.chain(["x,y\n"], blocks), args.out)
     else:
+        x, y = sample_pairs(rng, family, args.n)
         meta = _meta(args, ["family", "alphas", "n", "seed", "stream"])
-        _emit(json_text(meta, {"x": x.tolist(), "y": y.tolist()}), args.out)
+        _emit(json_text(meta, {"x": x, "y": y}), args.out)
 
 
 def _cmd_density(args: argparse.Namespace) -> None:

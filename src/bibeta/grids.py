@@ -84,7 +84,7 @@ class DensityGrid:
 
     def to_csv(self) -> str:
         header = [f"{y:.12g}" for y in grid_midpoints(self.m)]
-        return csv_text(header, self.cells.tolist())
+        return csv_text(header, self.cells)
 
     def to_json(self) -> str:
         meta = {
@@ -95,7 +95,7 @@ class DensityGrid:
             "seed": list(self.seed) if self.seed else None,
             "estimated": self.estimated,
         }
-        return json_text(meta, {"cells": self.cells.tolist()})
+        return json_text(meta, {"cells": self.cells})
 
 
 def density_grid(
@@ -215,12 +215,17 @@ def _cell_masses(family: FamilySpec, m: int) -> Optional[np.ndarray]:
         for lo in range(0, tau.size, _NODE_CHUNK):
             tk = tau[lo:lo + _NODE_CHUNK]
             t = tk - np.exp(_KNEE - tk)
-            # the density of tau up to a constant: U_s's gamma density in t times dt/dtau
-            w = np.exp(a_s * (t - math.log(a_s)) - np.exp(t) + a_s + np.logaddexp(0.0, _KNEE - tk))
             x, y = (axis_cells(t, *side) for side in sides)
-            acc += (x * w[:, None]).T @ y
+            # the density of tau up to a constant: U_s's gamma density in t times dt/dtau.  From
+            # a shared shape of ~1e18 its log has lost every digit, and w over- or underflows:
+            # the check on total below refuses that rule
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = np.exp(a_s * (t - math.log(a_s)) - np.exp(t) + a_s + np.logaddexp(0.0, _KNEE - tk))
+                acc += (x * w[:, None]).T @ y
             total += float(w.sum())
         nodes += tau.size
+        if not 0.0 < total < math.inf:
+            raise ValueError(f"exact cells of {family.label()} have a total node weight of {total:g}")
         grid = acc / total
         if prev is not None and 0.5 * float(np.abs(grid - prev).sum()) <= _CELL_TV_TOL:
             return grid

@@ -93,7 +93,7 @@ class GridPosterior:
 
     def to_csv(self) -> str:
         header = [f"{t:.12g}" for t in self.theta_axis]
-        return csv_text(header, self.weights.tolist())
+        return csv_text(header, self.weights)
 
     def to_json(self, seed: Optional[Tuple[int, int]] = None) -> str:
         prior, family = self.prior, self.prior.eta_theta_prior
@@ -106,9 +106,9 @@ class GridPosterior:
             "seed": list(seed) if seed else None,
         }
         data = {
-            "eta_axis": self.eta_axis.tolist(),
-            "theta_axis": self.theta_axis.tolist(),
-            "weights": self.weights.tolist(),
+            "eta_axis": self.eta_axis,
+            "theta_axis": self.theta_axis,
+            "weights": self.weights,
         }
         return json_text(meta, data)
 
@@ -197,7 +197,7 @@ def marginal_posterior(gp: GridPosterior, coord: str) -> np.ndarray:
 def marginal_csv(gp: GridPosterior, coord: str) -> str:
     axis = gp.eta_axis if coord == "eta" else gp.theta_axis
     masses = marginal_posterior(gp, coord)
-    return csv_text(["coordinate", "probability"], zip(axis.tolist(), masses.tolist()))
+    return csv_text(["coordinate", "probability"], np.column_stack((axis, masses)))
 
 
 def _marginal_means(gp: GridPosterior) -> Tuple[np.ndarray, np.ndarray, float, float]:

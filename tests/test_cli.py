@@ -2,12 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from bibeta import cli
 from bibeta.cli import main
+from bibeta.sampling import BLOCK
 
 
 def run(capsys, *argv):
@@ -137,6 +141,20 @@ class TestDensity:
         assert out == ""
         assert len(err.strip().split("\n")) == 1
         assert "shapes must be finite, 0 or in [1e-300, 1e+300]" in json.loads(err)["error"]
+
+
+    def test_lost_node_weights_are_one_json_line(self):
+        """Exact cells whose node weights all underflow exit 2 with one JSON line on stderr,
+        not a RuntimeWarning before it; run in a fresh interpreter with default warnings."""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = ["density", "--family", "an8", "--alphas", "1,0,0,1,0,0,0,1e20", "--m", "4"]
+        done = subprocess.run([sys.executable, "-m", "bibeta", *argv], env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1
+        assert "an8(1,0,0,1,0,0,0,1e+20)" in json.loads(done.stderr)["error"]
 
 
 class TestPosterior:
@@ -521,6 +539,31 @@ class TestUnwritableOutput:
         assert stdout == ""
         assert len(err.strip().split("\n")) == 1
         assert str(tmp_path / "missing") in json.loads(err)["error"]
+
+
+    @pytest.mark.parametrize(
+        "out",
+        ["/nonexistent/dir/x", pytest.param("/dev/full", marks=pytest.mark.skipif(
+            not os.path.exists("/dev/full"), reason="no /dev/full on this platform"))],
+        ids=["missing_dir", "dev_full"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sample", "--family", "ol-minus", "--alphas", "10,2.5,5", "--n", str(BLOCK + 1)),
+            ("density", "--family", "indep", "--alphas", "1,1,1,1", "--m", "5"),
+            ("tables", "--table", "4"),
+        ],
+        ids=["sample_streamed", "density", "tables"],
+    )
+    def test_write_error_is_json(self, capsys, argv, out):
+        """A path that cannot be opened, or a device that is full (ENOSPC arrives mid-stream for
+        the streamed sample), exits 2 with one JSON line naming the path."""
+        rc, stdout, err = run(capsys, *argv, "--out", out)
+        assert rc == 2
+        assert stdout == ""
+        assert len(err.strip().split("\n")) == 1
+        assert json.loads(err)["error"].startswith(f"could not write {out!r}")
 
 
 class TestGridTooLarge:

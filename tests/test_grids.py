@@ -3,6 +3,7 @@
 import json
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -365,6 +366,15 @@ class TestExactCells:
         family = FamilySpec.an8(1, 0, 0, 1, 0, 0, 0, shared)
         with pytest.raises(ValueError, match=re.escape(family.label()) + ".*tau range"):
             grids._cell_masses(family, 4)
+
+    @pytest.mark.parametrize("shared", [1e18, 1e20, 1e30], ids=["overflow", "underflow", "overflow_1e30"])
+    def test_lost_node_weights_raise_naming_the_family(self, shared):
+        """From a shared shape of ~1e18 the node weights over- or underflow: a ValueError, not 0/0."""
+        family = FamilySpec.an8(1, 0, 0, 1, 0, 0, 0, shared)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=re.escape(family.label()) + ".*total node weight"):
+                grids._cell_masses(family, 4)
 
     def test_memory_does_not_grow_with_the_node_count(self, monkeypatch):
         """Nodes are accumulated in chunks: 8192 nodes peak under 1.5x the peak of 1024."""
