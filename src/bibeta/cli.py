@@ -76,13 +76,20 @@ def _family_from_flags(variant: Optional[str], alphas: Optional[str], prefix: st
 
 def _emit(text: Union[str, Iterable[str]], out: Optional[str]) -> None:
     """Write text, or each string of an iterable in order, to stdout ('-' or None) or to out."""
-    if out is None or out == "-":
-        sys.stdout.writelines([text] if isinstance(text, str) else text)
-    else:
-        try:
+    to_stdout = out is None or out == "-"
+    try:
+        if to_stdout:
+            sys.stdout.writelines([text] if isinstance(text, str) else text)
+            sys.stdout.flush()
+        else:
             write_text(out, text)
-        except OSError as exc:
-            raise CliError(f"could not write {out!r}: {exc.strerror or exc}") from None
+    except OSError as exc:
+        if to_stdout:
+            # a closed pipe takes nothing more: the buffered rest and the flush at exit go nowhere
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        raise CliError(f"could not write {'stdout' if to_stdout else repr(out)}: {exc.strerror or exc}") from None
 
 
 def _meta(args: argparse.Namespace, keys: Sequence[str]) -> dict:
@@ -102,10 +109,13 @@ def _cmd_sample(args: argparse.Namespace) -> None:
         raise CliError(f"--n must be >= 0, got {args.n}")
     rng = RngState(args.seed, args.stream)
     if args.format == "csv":
-        # each block is formatted on its worker and written in block order, so
-        # no array or string of n pairs is ever built
-        blocks = pair_blocks(rng, family, args.n, lambda lo, hi, x, y: csv_rows(np.column_stack((x, y))))
-        _emit(itertools.chain(["x,y\n"], blocks), args.out)
+        # each block is formatted chunk by chunk on its worker and written in
+        # block order, so no array or string of n pairs is ever built
+        blocks = pair_blocks(rng, family, args.n, lambda lo, chunks: [csv_rows(np.column_stack(c)) for c in chunks])
+        try:
+            _emit(itertools.chain(["x,y\n"], itertools.chain.from_iterable(blocks)), args.out)
+        finally:
+            blocks.close()  # after a write error, cancels the blocks not yet started
     else:
         x, y = sample_pairs(rng, family, args.n)
         meta = _meta(args, ["family", "alphas", "n", "seed", "stream"])

@@ -9,16 +9,17 @@ times m^2: exact (_cell_masses) where at most one live gamma component is
 on both axes, else Monte Carlo histograms scaled by m^2 / n_samples.
 
 The histogram is numpy's 2-D histogram on m equal bins of [0, 1], count
-for count: each block of pairs is binned by an exact cell index (floor(c m),
-corrected once against the same np.linspace edges) as it is assembled, and
-the blocks' bincounts are summed.  density_grid and log_prior_cells (a
-posterior's prior) read every grid, in log form with its largest value, from
-one read-only cache, _log_cells.
+for count: each chunk of pairs is given an exact cell index (floor(c m),
+corrected once against the same np.linspace edges) as it is assembled and
+added under a lock to one table of counts, the same in any order.
+density_grid and log_prior_cells (a posterior's prior) read every grid, in
+log form with its largest value, from one read-only cache, _log_cells.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional, Tuple
@@ -26,7 +27,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .families import FamilySpec, closed_form_logpdf, marginal_params, ratio_axes
-from .sampling import RngState, pair_blocks
+from .sampling import Chunks, RngState, pair_blocks
 from .serialize import csv_text, json_text
 
 MIN_ESTIMATED_SAMPLES = 10_000
@@ -51,8 +52,8 @@ def _cell_index(c: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return k
 
 
-def _cell_counts(x: np.ndarray, y: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Flat row-major counts of numpy's 2-D histogram of (x, y) on these edges over [0, 1]^2.
+def _flat_cells(x: np.ndarray, y: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Flat row-major cells, one per pair, of numpy's 2-D histogram of (x, y) on these edges over [0, 1]^2.
 
     Pairs with a NaN or a coordinate outside [0, 1] are dropped, as numpy drops them.
     """
@@ -60,7 +61,7 @@ def _cell_counts(x: np.ndarray, y: np.ndarray, edges: np.ndarray) -> np.ndarray:
     inside = (x >= 0.0) & (x <= 1.0) & (y >= 0.0) & (y <= 1.0)
     if not inside.all():
         x, y = x[inside], y[inside]
-    return np.bincount(_cell_index(x, edges) * m + _cell_index(y, edges), minlength=m * m)
+    return _cell_index(x, edges) * m + _cell_index(y, edges)
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,7 @@ def density_grid(
     (estimated=False, n_samples=0).  Other AN5/AN8 vectors need at least
     10^4 samples and an RngState; their histogram bins n_samples draws, so
     it estimates the same cell probabilities with no smoothing bandwidth.
-    The counts are numpy's 2-D histogram of the draws, binned block by block.
+    The counts are numpy's 2-D histogram of the draws, binned chunk by chunk.
     """
     if m < 2:
         raise ValueError(f"grid resolution m must be >= 2, got {m}")
@@ -131,10 +132,16 @@ def density_grid(
         raise ValueError(f"a {family.variant} histogram density needs an RngState")
     seed = rng.identity
     edges = np.linspace(0.0, 1.0, m + 1)
-    blocks = pair_blocks(rng, family, n_samples, lambda lo, hi, x, y: _cell_counts(x, y, edges))
-    counts = next(blocks)
-    for block_counts in blocks:
-        counts += block_counts
+    counts, lock = np.zeros(m * m, np.intp), threading.Lock()
+
+    def add(lo: int, chunks: Chunks) -> None:
+        for x, y in chunks:
+            flat = _flat_cells(x, y, edges)
+            with lock:
+                np.add.at(counts, flat, 1)
+
+    for _ in pair_blocks(rng, family, n_samples, add):
+        pass
     cells = counts.reshape(m, m) * (m * m / n_samples)
     return DensityGrid(
         m=m, cells=cells, estimated=True, n_samples=n_samples, family=family, seed=seed

@@ -9,7 +9,11 @@ Pairs are made in blocks of BLOCK pairs on up to MAX_WORKERS threads.  A
 call draws one call key from the state's generator; block k draws the j-th
 nonzero-shape component from spawn_key=(stream, call_key, j, k), fixed by
 the block's index, so the bytes do not depend on the number of cores.
-BLOCK is part of the stream definition, not a tuning knob.
+BLOCK is part of the stream definition, not a tuning knob.  Inside a block
+the pairs are drawn, assembled and consumed CHUNK at a time, which only sizes
+a worker's working set: O(CHUNK) floats plus, per component of shape below
+LOG_SPACE_SHAPE, the block's Gamma(s+1) draws.  numpy fills a draw one variate
+at a time, so any CHUNK gives the same bytes.
 """
 
 from __future__ import annotations
@@ -29,9 +33,12 @@ from .families import FamilySpec
 # keep their full magnitude information instead of underflowing to zero
 LOG_SPACE_SHAPE = 0.02
 
-# pairs per block (changing it changes every sample), and the most threads
+# pairs per block (changing it changes every sample), the most threads, and the pairs a
+# worker assembles at once: on 2 cores the AN5-prior posterior peaked at 42.3, 43.7, 46.8,
+# 52.2 and 75 MB at CHUNK 2^13..2^16 and 2^18, and its grid was made fastest at 2^14
 BLOCK = 1 << 18
 MAX_WORKERS = 4
+CHUNK = 1 << 14
 
 T = TypeVar("T")
 
@@ -110,21 +117,28 @@ def _ratio(num: list, rest: list, log_path: bool) -> np.ndarray:
     return np.divide(top, c, out=c)
 
 
+Chunks = Iterator[Tuple[np.ndarray, np.ndarray]]
+
+
 def pair_blocks(
     rng: RngState,
     family: FamilySpec,
     n: int,
-    consume: Callable[[int, int, np.ndarray, np.ndarray], T],
+    consume: Callable[[int, Chunks], T],
 ) -> Iterator[T]:
-    """consume(lo, hi, x, y) of pairs lo..hi-1 for each block of n draws, in block order.
+    """consume(lo, chunks) for each block of n draws from pair lo on, in block order.
 
     Block k, a task on a worker thread, draws its slice of component j from
-    rng.child(call_key, j, k), assembles both ratios (_ratio) and runs
-    consume; no array is longer than BLOCK.  Shapes below LOG_SPACE_SHAPE are
-    drawn in logs; the ratios are assembled from logs only where some axis's
-    numerator or rest has no other shape, as its sum could underflow to 0
-    (B(1e-4, 1e-4) would read 0/0), else from the exponentiated draws.  A
-    zero shape draws nothing (families.ratio_axes leaves it out).
+    rng.child(call_key, j, k).  chunks yields the block's pairs in order as
+    (x, y) arrays of at most CHUNK pairs, each drawn and assembled (_ratio)
+    when consume asks for it, so a worker holds O(CHUNK) floats.  Shapes below
+    LOG_SPACE_SHAPE are drawn in logs through the boost identity; their stream
+    holds the block's Gamma(s+1) draws before its uniforms, so those are drawn
+    first, in CHUNK pieces let go as they are used.  The ratios are assembled
+    from logs only where some axis's numerator or rest has no other shape, as
+    its sum could underflow to 0 (B(1e-4, 1e-4) would read 0/0), else from
+    the exponentiated draws.  A zero shape draws nothing (families.ratio_axes
+    leaves it out).
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -134,22 +148,29 @@ def pair_blocks(
     log_path = any(all(shapes[i] < LOG_SPACE_SHAPE for i in side) for ax in axes for side in ax)
     call_key = int(rng.generator.integers(1 << 63))
 
+    def chunks(lo: int, hi: int) -> Chunks:
+        gens = {i: rng.child(call_key, j, lo // BLOCK) for j, i in enumerate(live)}
+        sizes = [min(CHUNK, hi - start) for start in range(lo, hi, CHUNK)]
+        # a tiny shape's stream holds all the block's Gamma(s+1) draws before its uniforms
+        boosted = {i: [gens[i].standard_gamma(shapes[i] + 1.0, size) for size in sizes][::-1]
+                   for i in live if shapes[i] < LOG_SPACE_SHAPE}
+        for size in sizes:
+            draws = {}
+            for i in live:
+                s, gen = shapes[i], gens[i]
+                g = draws[i] = boosted[i].pop() if i in boosted else gen.standard_gamma(s, size)
+                if i in boosted:
+                    _boost_log_in_place(g, gen.random(size), s)
+                    if not log_path:
+                        np.exp(g, out=g)
+                elif log_path:
+                    _log_in_place(g)
+            x, y = (_ratio([draws[i] for i in num], [draws[i] for i in rest], log_path) for num, rest in axes)
+            del draws, g  # only the two coordinates stay alive while consume runs
+            yield x, y
+
     def block(lo: int) -> T:
-        k, size = lo // BLOCK, min(BLOCK, n - lo)
-        draws = {}
-        for j, i in enumerate(live):
-            s, gen = shapes[i], rng.child(call_key, j, k)
-            tiny = s < LOG_SPACE_SHAPE
-            g = draws[i] = gen.standard_gamma(s + 1.0 if tiny else s, size=size)
-            if tiny:
-                _boost_log_in_place(g, gen.random(size), s)
-                if not log_path:
-                    np.exp(g, out=g)
-            elif log_path:
-                _log_in_place(g)
-        x, y = (_ratio([draws[i] for i in num], [draws[i] for i in rest], log_path) for num, rest in axes)
-        del draws, g  # only the two coordinates stay alive while consume runs
-        return consume(lo, lo + size, x, y)
+        return consume(lo, chunks(lo, min(lo + BLOCK, n)))
 
     with ThreadPoolExecutor(max(1, min(MAX_WORKERS, _usable_cores(), -(-n // BLOCK)))) as pool:
         yield from pool.map(block, range(0, n, BLOCK))
@@ -161,9 +182,11 @@ def sample_pairs(rng: RngState, family: FamilySpec, n: int) -> Tuple[np.ndarray,
         raise ValueError(f"n must be >= 0, got {n}")
     x, y = np.empty(n), np.empty(n)
 
-    def write(lo: int, hi: int, bx: np.ndarray, by: np.ndarray) -> None:
-        x[lo:hi] = bx
-        y[lo:hi] = by
+    def write(lo: int, chunks: Chunks) -> None:
+        for bx, by in chunks:
+            x[lo:lo + bx.size] = bx
+            y[lo:lo + bx.size] = by
+            lo += bx.size
 
     for _ in pair_blocks(rng, family, n, write):
         pass

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -564,6 +565,26 @@ class TestUnwritableOutput:
         assert stdout == ""
         assert len(err.strip().split("\n")) == 1
         assert json.loads(err)["error"].startswith(f"could not write {out!r}")
+
+    @pytest.mark.parametrize("n, read", [(100, 0), (40 * BLOCK, 50)])
+    def test_closed_pipe_ends_sample_at_once(self, n, read):
+        """A reader that closes stdout early gets exit 2 and one JSON line on stderr, also from a
+        buffered stdout whose last flush would fail at exit, and the blocks not yet made are
+        cancelled: 40 blocks end in a few seconds, not after all of them are formatted."""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONUNBUFFERED", None)
+        argv = ["sample", "--family", "ol-minus", "--alphas", "10,2.5,5", "--n", str(n), "--out", "-"]
+        with subprocess.Popen([sys.executable, "-m", "bibeta", *argv], env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(read)) == read
+            proc.stdout.close()
+            start = time.monotonic()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 2, err
+            assert time.monotonic() - start < 4.0
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"].startswith("could not write stdout")
 
 
 class TestGridTooLarge:

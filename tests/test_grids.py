@@ -13,7 +13,7 @@ from scipy import special as sp_special
 
 from bibeta import families, grids, sampling
 from bibeta.families import FamilySpec, an8_embedding, closed_form_logpdf
-from bibeta.grids import DensityGrid, _cell_counts, density_grid, grid_midpoints
+from bibeta.grids import DensityGrid, _flat_cells, density_grid, grid_midpoints
 from bibeta.sampling import RngState, sample_pairs
 from bibeta.special import BetaParams
 
@@ -170,8 +170,13 @@ def hard_values(m):
     return np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), odd])
 
 
+def flat_counts(x, y, edges):
+    m = edges.size - 1
+    return np.bincount(_flat_cells(x, y, edges), minlength=m * m).reshape(m, m)
+
+
 class TestExactBinning:
-    """_cell_counts is np.histogram2d on m equal bins of [0, 1], count for count."""
+    """Counting _flat_cells is np.histogram2d on m equal bins of [0, 1], count for count."""
 
     @pytest.mark.parametrize("m", BIN_COUNTS)
     def test_every_edge_and_neighbour(self, m):
@@ -179,7 +184,7 @@ class TestExactBinning:
         edges = np.linspace(0.0, 1.0, m + 1)
         shuffled = np.random.default_rng(m).permutation(values)
         for x, y in ((values, shuffled), (shuffled, values), (values, np.full(values.size, 0.5))):
-            got = _cell_counts(x, y, edges).reshape(m, m)
+            got = flat_counts(x, y, edges)
             assert np.array_equal(got, histogram2d_counts(x, y, m))
 
     @settings(max_examples=100, deadline=None)
@@ -192,7 +197,7 @@ class TestExactBinning:
         x = data.draw(st.lists(value, min_size=0, max_size=60))
         y = data.draw(st.lists(value, min_size=len(x), max_size=len(x)))
         x, y = np.array(x, dtype=float), np.array(y, dtype=float)
-        got = _cell_counts(x, y, np.linspace(0.0, 1.0, m + 1)).reshape(m, m)
+        got = flat_counts(x, y, np.linspace(0.0, 1.0, m + 1))
         assert np.array_equal(got, histogram2d_counts(x, y, m))
 
     @pytest.mark.parametrize("m", [2, 37])
@@ -243,10 +248,11 @@ def ol_cell_oracle(alphas, flip, m: int) -> np.ndarray:
 
 
 def histogram_cells(family: FamilySpec, m: int, n: int, seed: int) -> np.ndarray:
-    """Counts of n sampled pairs on the m x m grid, binned block by block as they are drawn."""
+    """Counts of n sampled pairs on the m x m grid, binned chunk by chunk as they are drawn."""
     edges = np.linspace(0.0, 1.0, m + 1)
-    blocks = sampling.pair_blocks(RngState(seed), family, n, lambda lo, hi, x, y: _cell_counts(x, y, edges))
-    return sum(blocks).reshape(m, m)
+    blocks = sampling.pair_blocks(RngState(seed), family, n,
+                                  lambda lo, chunks: sum(flat_counts(x, y, edges) for x, y in chunks))
+    return sum(blocks)
 
 
 OL_EMBEDDINGS = [

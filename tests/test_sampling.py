@@ -20,9 +20,11 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from scipy import special as sp_special
 
+import launcher
 from bibeta import families, sampling
+from bibeta.cli import main
 from bibeta.families import FamilySpec, an8_embedding
-from bibeta.grids import density_grid
+from bibeta.grids import MIN_ESTIMATED_SAMPLES, density_grid
 from bibeta.sampling import (
     BLOCK,
     LOG_SPACE_SHAPE,
@@ -519,18 +521,23 @@ class TestBlockAssembly:
         assert w.tolist() == [-np.inf, -np.inf]
 
     def test_more_workers_than_cores(self, monkeypatch):
-        """Four threads on fewer cores, switching often, still fill every slot exactly once."""
+        """Four threads on fewer cores, switching often, still fill every slot exactly once
+        and add every chunk's cells to the shared histogram exactly once."""
         monkeypatch.setattr(sampling, "BLOCK", 512)
+        monkeypatch.setattr(sampling, "CHUNK", 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-        family, n = BLOCK_FAMILIES["an5_log"], 40 * 512 + 3
+        family, n, m = BLOCK_FAMILIES["an5_log"], 40 * 512 + 3, 16
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             x, y = sample_pairs(RngState(86), family, n)
+            cells = density_grid(family, m=m, n_samples=n, rng=RngState(86)).cells
         finally:
             sys.setswitchinterval(interval)
         rx, ry = reference_pairs(RngState(86), family, n)
         assert x.tobytes() == rx.tobytes() and y.tobytes() == ry.tobytes()
+        counts = np.histogram2d(rx, ry, bins=m, range=[[0.0, 1.0], [0.0, 1.0]])[0]
+        assert cells.tobytes() == (counts * (m * m / n)).tobytes()
 
     @pytest.mark.parametrize(
         "family",
@@ -550,3 +557,50 @@ class TestBlockAssembly:
             warnings.simplefilter("error")
             sample_pairs(RngState(84), family, 20_000)
             density_grid(family, m=20, n_samples=20_000, rng=RngState(84))
+
+
+def chunked_outputs(tmp_path, family: FamilySpec, ns) -> list:
+    """sample_pairs bytes and streamed `sample` CSV bytes at each n and, where the family has
+    a histogram grid, density_grid cells of at least 10 blocks and its sample floor."""
+    out, csv = [], tmp_path / "sample.csv"
+    argv = ["sample", "--family", family.variant, "--alphas", ",".join(map(repr, family.alphas)), "--seed", "5"]
+    for n in ns:
+        x, y = sample_pairs(RngState(5, 1), family, n)
+        assert main([*argv, "--n", str(n), "--out", str(csv)]) == 0
+        out += [x.tobytes(), y.tobytes(), csv.read_bytes()]
+    n = max(10 * sampling.BLOCK, MIN_ESTIMATED_SAMPLES) + 5
+    grid = density_grid(family, m=30, n_samples=n, rng=RngState(6))
+    return out + [grid.cells.tobytes() if grid.estimated else None]
+
+
+class TestChunks:
+    @pytest.mark.parametrize("chunk, b", [(1, 256), (7, SMALL_BLOCK), (4096, 16384)], ids=["1", "7", "4096"])
+    @pytest.mark.parametrize("name", sorted(BLOCK_FAMILIES))
+    def test_bytes_do_not_depend_on_chunk(self, monkeypatch, tmp_path, name, chunk, b):
+        """CHUNK only sizes the working set: pairs, CSV and grid equal the CHUNK = BLOCK run."""
+        family, ns = BLOCK_FAMILIES[name], [1, chunk - 1, chunk + 1, b + 1, 3 * b + 5]
+        monkeypatch.setattr(sampling, "BLOCK", b)
+        monkeypatch.setattr(sampling, "CHUNK", b)
+        whole = chunked_outputs(tmp_path, family, ns)
+        monkeypatch.setattr(sampling, "CHUNK", chunk)
+        assert chunked_outputs(tmp_path, family, ns) == whole
+
+    # density_grid's tracemalloc peak in a child on at most two cores, so at most two blocks
+    # are in flight on any machine.  At m=100, holding a whole block's pairs peaked at 30-35 MB
+    # and CHUNK pairs at 7.4 MB.  At m=1000 the counts and the grid are 8 MB arrays: the grid
+    # peaked at 16.6 MB, and with counts returned per block at 46-53 MB.
+    PEAK_SCRIPT = """
+import sys, tracemalloc
+from bibeta import sampling
+from bibeta.families import FamilySpec
+from bibeta.grids import density_grid
+tracemalloc.start()
+density_grid(FamilySpec.an5(5, 5, 5, 5, 1e-4), m=int(sys.argv[1]), n_samples=4 * sampling.BLOCK,
+             rng=sampling.RngState(3))
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+    @pytest.mark.parametrize("m, bound_mb", [(100, 16), (1000, 32)])
+    def test_grid_peak_is_per_chunk(self, m, bound_mb):
+        out, _ = launcher.run_python(["-c", self.PEAK_SCRIPT, str(m)])
+        assert int(out) < bound_mb * 2**20, int(out) / 2**20
