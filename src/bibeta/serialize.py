@@ -9,12 +9,19 @@ Float arrays are written with one %-format per array: csv_rows with "%.12g"
 per cell, the same text as fmt, and json_text with "%r" per value, laid out
 as json.dumps(indent=2) lays out the array's nested lists, with json's NaN,
 Infinity and -Infinity for the non-finite values.
+
+Only the smallest index box outside which every value is +0.0 is formatted
+cell by cell; the template carries the literal zero text ("%.12g" % 0.0 or
+"%r" % 0.0) outside it.  A concentrated posterior is mostly +0.0, so most of
+its cells cost no formatting.  Only the +0.0 bit pattern counts as zero:
+-0.0 prints as "-0" or "-0.0", and NaN is not equal to 0, so both stay
+inside the box.  A box that is the whole array gives the plain template.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable, Mapping, Sequence, Union
+from typing import Any, Iterable, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,29 +39,67 @@ def _cell(x: Any) -> str:
     return text
 
 
+def _box(a: np.ndarray) -> Tuple[Tuple[int, int], ...]:
+    """Per axis, the bounds lo, hi of the smallest box outside which every value of a is +0.0.
+
+    Every axis of an all-+0.0 or empty array has the empty bounds 0, 0.
+    """
+    kept = (a != 0) | np.signbit(a)
+    bounds = []
+    for axis in range(a.ndim):
+        hit = np.flatnonzero(kept.any(axis=tuple(i for i in range(a.ndim) if i != axis)))
+        bounds.append((int(hit[0]), int(hit[-1]) + 1) if hit.size else (0, 0))
+    return tuple(bounds)
+
+
+def _csv(head: str, a: np.ndarray) -> str:
+    """head, then the CSV lines of a 2-D float array, built by one %-format."""
+    rows, cols = a.shape
+    (r0, r1), (c0, c1) = _box(a)
+    zero = "%.12g" % 0.0
+    line = ",".join([zero] * c0 + ["%.12g"] * (c1 - c0) + [zero] * (cols - c1)) + "\n"
+    blank = ",".join([zero] * cols) + "\n"
+    template = head.replace("%", "%%") + blank * r0 + line * (r1 - r0) + blank * (rows - r1)
+    return template % tuple(a[r0:r1, c0:c1].ravel().tolist())
+
+
 def csv_rows(a: np.ndarray) -> str:
     """The CSV lines of a 2-D float array, one row per line, each ending in a newline."""
-    rows, cols = a.shape
-    return ((",".join(["%.12g"] * cols) + "\n") * rows) % tuple(a.ravel().tolist())
+    return _csv("", a)
 
 
 def csv_text(header: Sequence[str], rows: Union[np.ndarray, Iterable[Sequence[Any]]]) -> str:
     """A header line and one line per row; rows is an iterable of rows or a 2-D float array."""
     head = ",".join(_cell(h) for h in header) + "\n"
     if isinstance(rows, np.ndarray):
-        return head + csv_rows(rows)
+        return _csv(head, rows)
     return head + "".join(",".join(_cell(v) for v in row) + "\n" for row in rows)
 
 
+def _json_list(items: Sequence[str], pad: str) -> str:
+    return f"[{pad}{(',' + pad).join(items)}{pad[:-2]}]" if items else "[]"
+
+
 def _json_array(a: np.ndarray, depth: int) -> str:
-    """A float array as json.dumps(a.tolist(), indent=2) writes it at this nesting depth."""
-    template = "%r"
+    """A float array as json.dumps(a.tolist(), indent=2) writes it at this nesting depth.
+
+    Walking up from the last axis, template is the layout of the box's part of a
+    sub-array and zero the text of an all-+0.0 sub-array, built only where an
+    axis above leaves some of its elements outside the box.
+    """
+    box = _box(a)
+    cut = [b != (0, n) for b, n in zip(box, a.shape)]
+    template, zero = "%r", "%r" % 0.0
     for level in range(a.ndim - 1, -1, -1):
         pad = "\n" + "  " * (depth + level + 1)
-        n = a.shape[level]
-        template = "[" + pad + (template + "," + pad) * (n - 1) + template + pad[:-2] + "]" if n else "[]"
-    text = template % tuple(a.ravel().tolist())
-    if not np.isfinite(a).all():
+        n, (lo, hi) = a.shape[level], box[level]
+        items = [zero] * lo + [template] * (hi - lo) + [zero] * (n - hi)
+        if any(cut[:level]):
+            zero = _json_list([zero] * n, pad)
+        template = _json_list(items, pad)
+    values = a[tuple(slice(lo, hi) for lo, hi in box)]
+    text = template % tuple(values.ravel().tolist())
+    if not np.isfinite(values).all():
         text = text.replace("nan", "NaN").replace("inf", "Infinity")
     return text
 

@@ -659,6 +659,16 @@ GOLDEN_RUNS = {
         "--mc-samples 100000 --seed 7",
         "4864119e62904a4fe06aa9022b0886bf9eab6469a282876c31a9dc0bda35b9e2",
     ),
+    # n=10^4: +0.0 outside rows 27-56 and columns 22-47 of the 60x60 weights
+    "posterior_ol_minus_concentrated": (
+        "posterior --prior-family ol-minus --prior-alphas 10,2.5,5 --data 10000,3500,2707,3891 --m 60",
+        "0574cc60fb2dee7256edf7cdaf8c2edcd15ac23613517ad93c1aadf4a9af516f",
+    ),
+    # +0.0 outside cells 15-24 on both axes of 40
+    "density_ol_minus_concentrated": (
+        "density --family ol-minus --alphas 1e4,1e4,1e4 --m 40 --format json",
+        "c1fe457aa00e8ca1e98d269265c471fc4660b8359b99e74f91d57b353699c06c",
+    ),
     "tables_4": (
         "tables --table 4",
         "c5579726c3ea0fa79b85b86bfe7e1d9d63d0ced8f26e4e49fca84ca78b5bdc9e",

@@ -29,6 +29,26 @@ def arrays(dims):
     return hnp.arrays(np.float64, shapes, elements=VALUES)
 
 
+# Values that put -0.0 and NaN on a block's border, or whole +0.0 rows and columns inside it,
+# more often than VALUES alone.
+BLOCK_VALUES = st.one_of(st.sampled_from([0.0, -0.0, np.nan]), VALUES)
+
+
+@st.composite
+def bordered(draw, dims):
+    """A block of values at a random offset in a +0.0 array.
+
+    The block may touch any edges or none, hold one cell, or hold only +0.0, which
+    leaves an all-+0.0 array: the cases of the writers' +0.0 box.
+    """
+    shape = draw(hnp.array_shapes(min_dims=dims, max_dims=dims, min_side=1, max_side=8))
+    lo = [draw(st.integers(0, n - 1)) for n in shape]
+    block = tuple(slice(i, draw(st.integers(i + 1, n))) for i, n in zip(lo, shape))
+    a = np.zeros(shape)
+    a[block] = draw(hnp.arrays(np.float64, a[block].shape, elements=BLOCK_VALUES))
+    return a
+
+
 def edge_array(shape):
     size = int(np.prod(shape))
     return np.resize(np.array(SPECIAL), size).reshape(shape)
@@ -36,13 +56,14 @@ def edge_array(shape):
 
 class TestLayouts:
     @settings(max_examples=300, deadline=None)
-    @given(a=arrays(2))
+    @given(a=st.one_of(arrays(2), bordered(2)))
     def test_csv_matches_oracle(self, a):
         header = [f"{t:.12g}" for t in np.linspace(0.0, 1.0, a.shape[1])]
         assert csv_text(header, a) == oracle.csv_text(header, a.tolist())
 
     @settings(max_examples=300, deadline=None)
-    @given(a=st.one_of(arrays(1), arrays(2)), b=arrays(1))
+    @given(a=st.one_of(arrays(1), arrays(2), bordered(1), bordered(2), bordered(3)),
+           b=st.one_of(arrays(1), bordered(1)))
     def test_json_matches_oracle(self, a, b):
         """Arrays at two depths, beside plain values, nested mappings and an empty one."""
         data = {"a": a, "nested": {"b": b, "k": 2, "empty": {}}, "z": [1.5, None]}
@@ -55,6 +76,13 @@ class TestLayouts:
         assert csv_text(["x"] * shape[1], a) == oracle.csv_text(["x"] * shape[1], a.tolist())
         for v in (a, a[:, 0] if shape[1] else a.ravel()):
             assert json_text(META, {"v": v}) == oracle.json_text(META, {"v": v.tolist()})
+
+    def test_header_percent_signs_are_literal(self):
+        """csv_text puts the header into the rows' %-template, escaped."""
+        a = np.zeros((4, 3))
+        a[1, 1:] = [-0.0, 2.5]
+        header = ["a%", "%s", "100%%"]
+        assert csv_text(header, a) == oracle.csv_text(header, a.tolist())
 
     def test_csv_rows_is_the_body_of_csv_text(self):
         a = edge_array((5, 3))
