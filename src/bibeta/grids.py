@@ -22,13 +22,13 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .families import FamilySpec, closed_form_logpdf, marginal_params, ratio_axes
 from .sampling import Chunks, RngState, pair_blocks
-from .serialize import csv_text, json_text
+from .serialize import csv_chunks, json_text
 
 MIN_ESTIMATED_SAMPLES = 10_000
 DEFAULT_GRID_M = 100
@@ -83,9 +83,12 @@ class DensityGrid:
         """Midpoint-rule integral (1/m^2) * sum(cells); 1 up to fp rounding."""
         return float(self.cells.sum() / (self.m * self.m))
 
+    def csv_chunks(self) -> Iterator[str]:
+        """The text of to_csv in strings of whole rows, for writing a large grid without building it whole."""
+        return csv_chunks([f"{y:.12g}" for y in grid_midpoints(self.m)], self.cells)
+
     def to_csv(self) -> str:
-        header = [f"{y:.12g}" for y in grid_midpoints(self.m)]
-        return csv_text(header, self.cells)
+        return "".join(self.csv_chunks())
 
     def to_json(self) -> str:
         meta = {
@@ -223,11 +226,12 @@ def _cell_masses(family: FamilySpec, m: int) -> Optional[np.ndarray]:
             tk = tau[lo:lo + _NODE_CHUNK]
             t = tk - np.exp(_KNEE - tk)
             x, y = (axis_cells(t, *side) for side in sides)
-            # the density of tau up to a constant: U_s's gamma density in t times dt/dtau.  From
-            # a shared shape of ~1e18 its log has lost every digit, and w over- or underflows:
-            # the check on total below refuses that rule
+            # the density of tau up to a constant: U_s's gamma density in t times dt/dtau.  Its log,
+            # a_s (t - log a_s) - e^t + a_s, is written in d = t - log a_s, so that the terms of
+            # size a_s log a_s cancel exactly: -a_s (expm1(d) - d) <= 0 keeps its digits at any shape
+            d = t - math.log(a_s)
             with np.errstate(over="ignore", invalid="ignore"):
-                w = np.exp(a_s * (t - math.log(a_s)) - np.exp(t) + a_s + np.logaddexp(0.0, _KNEE - tk))
+                w = np.exp(-a_s * (np.expm1(d) - d) + np.logaddexp(0.0, _KNEE - tk))
                 acc += (x * w[:, None]).T @ y
             total += float(w.sum())
         nodes += tau.size

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .families import FamilySpec
 from .grids import DEFAULT_GRID_SAMPLES, LogCells, grid_midpoints, log_prior_cells
 from .sampling import RngState
 from .special import BetaParams
-from .serialize import csv_text, json_text
+from .serialize import csv_chunks, csv_text, json_text
 
 
 class DegeneratePosteriorError(RuntimeError):
@@ -91,9 +91,12 @@ class GridPosterior:
         pe.flags.writeable = pt.flags.writeable = False
         return pe, pt
 
+    def csv_chunks(self) -> Iterator[str]:
+        """The text of to_csv in strings of whole rows, for writing a large grid without building it whole."""
+        return csv_chunks([f"{t:.12g}" for t in self.theta_axis], self.weights)
+
     def to_csv(self) -> str:
-        header = [f"{t:.12g}" for t in self.theta_axis]
-        return csv_text(header, self.weights)
+        return "".join(self.csv_chunks())
 
     def to_json(self, seed: Optional[Tuple[int, int]] = None) -> str:
         prior, family = self.prior, self.prior.eta_theta_prior

@@ -97,6 +97,15 @@ def test_cli_import_does_not_load_thread_pool():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_does_not_build_the_digit_table():
+    """The CSV kernel's lookup tables (~1 MB, ~6 ms) are built on first use, not by `import bibeta.cli`."""
+    src = os.path.dirname(os.path.dirname(bibeta.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import bibeta, bibeta.cli, bibeta.serialize as s; print(s._tables.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
+
+
 SCIPY_FREE_RUNS = {
     "sample_ol_minus": ["sample", "--family", "ol-minus", "--alphas", "10,2.5,5", "--n", "100"],
     "sample_an5": ["sample", "--family", "an5", "--alphas", "5,5,5,5,1e-4", "--n", "100"],

@@ -1,6 +1,8 @@
-"""Numeric writers: the one-%-format layouts equal the per-cell writers of serialize_oracle byte
-for byte, `sample` streams its CSV block by block, and its memory does not grow with --n."""
+"""Numeric writers: the CSV kernel and the one-%-format JSON layouts equal the per-cell writers of
+serialize_oracle byte for byte, `sample` and dense grids stream their CSV, and their memory does not
+grow with --n or with the grid."""
 
+import math
 import os
 
 import numpy as np
@@ -14,7 +16,8 @@ import serialize_oracle as oracle
 from bibeta.cli import main
 from bibeta.families import FamilySpec
 from bibeta.sampling import BLOCK, RngState, sample_pairs
-from bibeta.serialize import csv_rows, csv_text, json_text
+from bibeta.grids import density_grid
+from bibeta.serialize import _SLICE, csv_chunks, csv_rows, csv_text, json_text
 
 SPECIAL = [-0.0, 0.0, 1.0, 5e-324, 2.5e-310, 1e-300, 1e300, 3.0, -42.0, 2.0**53, 0.1, 1 / 3,
            np.nan, np.inf, -np.inf]
@@ -49,6 +52,41 @@ def bordered(draw, dims):
     return a
 
 
+def ulps(x: float, k: int) -> float:
+    """x moved k units in the last place (toward +-inf as k is positive or negative)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+# the half-way points (d + 0.5) 10^(e-11) between two 12-digit decimals d and d + 1, over the whole
+# exponent range, where "%.12g" rounds half to even on the exact binary value
+HALF_WAYS = st.builds(lambda d, e: float(f"{d}5e{e - 12}"), st.integers(10**11, 10**12 - 1), st.integers(-312, 307))
+# powers of ten (where log10 may land in the wrong decade), the fixed/scientific switches at
+# 1e-5/1e-4 and 1e11/1e12 and values that round across them, carries such as 999999999999.5,
+# and integers with trailing zeros in the integer part
+BOUNDARY_POINTS = [float(f"1e{k}") for k in range(-310, 309)] + [
+    9.99999999999e-6, 9.999999999995e-5, 99999999999.95, 999999999999.5, 999999999999.4999,
+    9.999999999995, 0.9999999999995, 1200.0, 120000000000.0, 100000000000.0, 10.0, 100.0, 123456789000.0]
+BOUNDARIES = st.builds(lambda x, k, sign: sign * ulps(x, k),
+                       st.one_of(HALF_WAYS, st.sampled_from(BOUNDARY_POINTS)), st.integers(-3, 3),
+                       st.sampled_from([1.0, -1.0]))
+
+
+def boundary_arrays():
+    return hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=8),
+                      elements=BOUNDARIES)
+
+
+def boundary_values() -> np.ndarray:
+    """Every boundary point and +-3 ulp, and half-way points of five 12-digit decimals at every exponent."""
+    values = [ulps(x, k) for x in BOUNDARY_POINTS for k in range(-3, 4)]
+    for d in (10**11, 123456789012, 314159265358, 500000000000, 10**12 - 1):
+        values += [ulps(float(f"{d}5e{e - 12}"), k) for e in range(-312, 308) for k in (-2, -1, 0, 1, 2)]
+    values = np.array(values)
+    return np.concatenate([values, -values[::7]])
+
+
 def edge_array(shape):
     size = int(np.prod(shape))
     return np.resize(np.array(SPECIAL), size).reshape(shape)
@@ -56,7 +94,7 @@ def edge_array(shape):
 
 class TestLayouts:
     @settings(max_examples=300, deadline=None)
-    @given(a=st.one_of(arrays(2), bordered(2)))
+    @given(a=st.one_of(arrays(2), bordered(2), boundary_arrays()))
     def test_csv_matches_oracle(self, a):
         header = [f"{t:.12g}" for t in np.linspace(0.0, 1.0, a.shape[1])]
         assert csv_text(header, a) == oracle.csv_text(header, a.tolist())
@@ -77,8 +115,15 @@ class TestLayouts:
         for v in (a, a[:, 0] if shape[1] else a.ravel()):
             assert json_text(META, {"v": v}) == oracle.json_text(META, {"v": v.tolist()})
 
+    @pytest.mark.parametrize("shape", [(_SLICE - 1, 1), (_SLICE + 1, 1), (_SLICE // 2, 2), (_SLICE // 3 + 1, 3)],
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_rounding_boundaries_match_oracle(self, shape):
+        """Half-way points, powers of ten, notation switches and carries, in arrays either side of one slice."""
+        a = np.resize(boundary_values(), shape)
+        assert csv_rows(a) == oracle.csv_text([], a.tolist())[1:]
+
     def test_header_percent_signs_are_literal(self):
-        """csv_text puts the header into the rows' %-template, escaped."""
+        """Header cells are written as they are, % signs included, above the kernel's rows."""
         a = np.zeros((4, 3))
         a[1, 1:] = [-0.0, 2.5]
         header = ["a%", "%s", "100%%"]
@@ -87,6 +132,29 @@ class TestLayouts:
     def test_csv_rows_is_the_body_of_csv_text(self):
         a = edge_array((5, 3))
         assert csv_text(["a", "b", "c"], a) == "a,b,c\n" + csv_rows(a)
+
+
+@pytest.mark.parametrize("rows", [_SLICE // 100 - 1, _SLICE // 100, _SLICE // 100 + 1, 2 * (_SLICE // 100) + 1])
+def test_csv_chunks_are_whole_rows_of_one_slice(rows):
+    """csv_chunks yields the header, then whole rows of at most one slice; a +0.0 border stays literal."""
+    a = np.zeros((rows + 4, 104))
+    a[2:-2, 1:-3] = np.random.default_rng(rows).standard_normal((rows, 100))
+    header = [f"c{j}" for j in range(104)]
+    chunks = list(csv_chunks(header, a))
+    assert "".join(chunks) == oracle.csv_text(header, a.tolist())
+    body = [c for c in chunks[1:] if not c.startswith("0,0,0,0,0,")]
+    assert all(c.endswith("\n") and c.count("\n") <= _SLICE // 100 for c in body)
+    assert len(body) == -(-rows // (_SLICE // 100))
+
+
+@pytest.mark.parametrize("m", [127, 128, 129])
+def test_streamed_density_csv_matches_oracle(tmp_path, m):
+    """`density` writes its CSV in row slices (128 rows of 128 cells is one slice): the oracle's bytes."""
+    out = tmp_path / "density.csv"
+    assert main(["density", "--family", "ol-minus", "--alphas", "10,2.5,5", "--m", str(m), "--out", str(out)]) == 0
+    grid = density_grid(FamilySpec.ol_minus(10, 2.5, 5), m)
+    header = [f"{(j + 0.5) / m:.12g}" for j in range(m)]
+    assert out.read_bytes() == oracle.csv_text(header, grid.cells.tolist()).encode()
 
 
 FAMILY_ARGV = ["--family", "ol-minus", "--alphas", "10,2.5,5", "--seed", "7"]
@@ -115,3 +183,15 @@ def test_sample_memory_does_not_grow_with_n():
     The per-cell writer peaked at 5.0 times, the streamed one at about 1.5 times and the
     chunked one at about 1.2 times."""
     assert sample_peak_rss(8 * BLOCK) < 2 * sample_peak_rss(BLOCK)
+
+
+def density_peak_rss(m: int) -> int:
+    argv = ["-m", "bibeta", "density", "--family", "ol-minus", "--alphas", "10,2.5,5", "--m", str(m), "--out", os.devnull]
+    return launcher.run_python(argv)[1]
+
+
+def test_dense_grid_csv_memory_is_the_grid_plus_slices():
+    """The m=1000 CSV peaks below the m=100 peak plus 32 MB: its rows are formatted slice by slice.
+
+    The whole-grid writer peaked at 112 MB against 30 MB for m=100, the streamed one at 54 MB."""
+    assert density_peak_rss(1000) < density_peak_rss(100) + 32 * 1024
