@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, families
 from .families import FamilySpec, an8_embedding, complement
-from .grids import DEFAULT_GRID_SAMPLES, density_grid
+from .grids import DEFAULT_GRID_M, DEFAULT_GRID_SAMPLES, density_grid
 from .inference import (
     DiagnosticData,
     PriorSpec,
@@ -76,13 +76,14 @@ def _family_from_flags(variant: Optional[str], alphas: Optional[str], prefix: st
 
 def _emit(text: Union[str, Iterable[str]], out: Optional[str]) -> None:
     """Write text, or each string of an iterable in order, to stdout ('-' or None) or to out."""
+    chunks = [text] if isinstance(text, str) else text
     to_stdout = out is None or out == "-"
     try:
         if to_stdout:
-            sys.stdout.writelines([text] if isinstance(text, str) else text)
+            sys.stdout.writelines(chunks)
             sys.stdout.flush()
         else:
-            write_text(out, text)
+            write_text(out, chunks)
     except OSError as exc:
         if to_stdout:
             # a closed pipe takes nothing more: the buffered rest and the flush at exit go nowhere
@@ -283,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="density grid of a family")
     _add_family_flags(p)
-    p.add_argument("--m", type=int, default=100)
+    p.add_argument("--m", type=int, default=DEFAULT_GRID_M)
     p.add_argument("--mc-samples", type=int, default=DEFAULT_GRID_SAMPLES)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     _add_common(p)
@@ -300,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--synth-t", type=float, default=3.25)
     _add_family_flags(p, "prior-")
     p.add_argument("--pi-prior", default="1,1", help="a,b of the beta prior on prevalence")
-    p.add_argument("--m", type=int, default=100)
+    p.add_argument("--m", type=int, default=DEFAULT_GRID_M)
     p.add_argument("--mc-samples", type=int, default=DEFAULT_GRID_SAMPLES)
     _add_common(p)
     p.set_defaults(func=_cmd_posterior)

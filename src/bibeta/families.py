@@ -12,9 +12,10 @@ U_i ~ Gamma(alpha_i):
   indep: X = U1/(U1+U2), Y = U3/(U3+U4), the no-dependence baseline, with
          alphas (a_x, b_x, a_y, b_y) of its two beta marginals
 
-AN8 contains the OL variants and indep as zero patterns, and these four
-have a closed-form joint density; AN5/AN8 do not and get exact cell
-probabilities or Monte Carlo histograms (see grids.density_grid).
+AN8 contains the OL variants, indep and AN5 as zero patterns (see
+an8_embedding).  The OL variants and indep have a closed-form joint
+density; AN5/AN8 do not and get exact cell probabilities or Monte Carlo
+histograms (see grids.density_grid).
 """
 
 from __future__ import annotations
@@ -274,25 +275,19 @@ def closed_form_logpdf(family: FamilySpec, x: ArrayLike, y: ArrayLike) -> ArrayL
 _SWAP_ND = str.maketrans("nd", "dn")
 
 
-def _an8_slots(roles: Sequence[str]) -> Tuple[int, ...]:
-    """The AN8 index of each role: the AN8 slot each component lands on."""
-    return tuple(map(STRUCTURE[AN8].index, roles))
-
-
-def _an8_vector(alphas: Sequence[float], slots: Sequence[int]) -> Tuple[float, ...]:
+def _an8_alphas(family: FamilySpec, flip: Tuple[bool, bool] = (False, False)) -> Tuple[float, ...]:
+    """The AN8 vector of a family: each shape on the AN8 slot of its role,
+    with n and d exchanged on the coordinates flip marks as complemented."""
     vec = [0.0] * len(STRUCTURE[AN8])
-    for slot, value in zip(slots, alphas):
-        vec[slot] = value
+    for role, a in zip(STRUCTURE[family.variant], family.alphas):
+        vec[STRUCTURE[AN8].index("".join(c.translate(_SWAP_ND) if f else c for c, f in zip(role, flip)))] = a
     return tuple(vec)
 
 
 def an8_embedding(family: FamilySpec) -> FamilySpec:
-    """The AN8 spec equal in law to an OL variant or indep (an AN8 passes through)."""
-    if family.variant == AN8:
-        return family
-    if family.variant == AN5:
-        raise ValueError(f"no AN8 embedding for variant {family.variant}")
-    return FamilySpec(AN8, _an8_vector(family.alphas, _an8_slots(STRUCTURE[family.variant])))
+    """The AN8 spec equal in law to any family: the OL variants, indep and AN5
+    are AN8 zero patterns (an AN8 passes through)."""
+    return FamilySpec(AN8, _an8_alphas(family))
 
 
 def complement(family: FamilySpec, which: str) -> FamilySpec:
@@ -310,14 +305,12 @@ def complement(family: FamilySpec, which: str) -> FamilySpec:
     """
     if which not in _WHICH:
         raise ValueError(f"which must be 'x', 'y' or 'both', got {which!r}")
-    v = family.variant
-    if v == AN5:
+    if family.variant == AN5:
         raise NotClosedError("the AN5 family is not closed under complementation")
-    roles = ["".join(c.translate(_SWAP_ND) if f else c for c, f in zip(r, _WHICH[which])) for r in STRUCTURE[v]]
-    vec = _an8_vector(family.alphas, _an8_slots(roles))
+    vec = _an8_alphas(family, _WHICH[which])
     support = {i for i, a in enumerate(vec) if a != 0.0}
     for variant in (OL_PLUS, OL_MINUS, OL_STAR, INDEPENDENT):
-        slots = _an8_slots(STRUCTURE[variant])
+        slots = [STRUCTURE[AN8].index(role) for role in STRUCTURE[variant]]
         if support == set(slots):
             return FamilySpec(variant, tuple(vec[i] for i in slots))
     return FamilySpec(AN8, vec)

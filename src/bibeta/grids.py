@@ -8,12 +8,14 @@ so every grid integrates to one.  AN5/AN8 grids hold cell probabilities
 times m^2: exact (_cell_masses) where at most one live gamma component is
 on both axes, else Monte Carlo histograms scaled by m^2 / n_samples.
 
-The histogram is numpy's 2-D histogram on m equal bins of [0, 1], count
-for count: each chunk of pairs is given an exact cell index (floor(c m),
+The histogram (_histogram, which density_grid and a posterior's prior
+both call) is numpy's 2-D histogram on m equal bins of [0, 1], count for
+count: each chunk of pairs is given an exact cell index (floor(c m),
 corrected once against the same np.linspace edges) as it is assembled and
 added under a lock to one table of counts, the same in any order.
-density_grid and log_prior_cells (a posterior's prior) read every grid, in
-log form with its largest value, from one read-only cache, _log_cells.
+density_grid and log_prior_cells (a posterior's prior) read every exact
+grid, and log_prior_cells its histograms too, in log form with its largest
+value, from one read-only cache, _log_cells.
 """
 
 from __future__ import annotations
@@ -102,6 +104,29 @@ class DensityGrid:
         return json_text(meta, {"cells": self.cells})
 
 
+def _histogram(family: FamilySpec, m: int, n_samples: int, rng: Optional[RngState]) -> np.ndarray:
+    """numpy's 2-D histogram of n_samples draws on m equal bins of [0, 1], times m^2 / n_samples."""
+    if n_samples < MIN_ESTIMATED_SAMPLES:
+        raise ValueError(
+            f"{family.variant} needs n_samples >= {MIN_ESTIMATED_SAMPLES} "
+            f"for a histogram density, got {n_samples}"
+        )
+    if rng is None:
+        raise ValueError(f"a {family.variant} histogram density needs an RngState")
+    edges = np.linspace(0.0, 1.0, m + 1)
+    counts, lock = np.zeros(m * m, np.intp), threading.Lock()
+
+    def add(lo: int, chunks: Chunks) -> None:
+        for x, y in chunks:
+            flat = _flat_cells(x, y, edges)
+            with lock:
+                np.add.at(counts, flat, 1)
+
+    for _ in pair_blocks(rng, family, n_samples, add):
+        pass
+    return counts.reshape(m, m) * (m * m / n_samples)
+
+
 def density_grid(
     family: FamilySpec,
     m: int = DEFAULT_GRID_M,
@@ -115,7 +140,6 @@ def density_grid(
     (estimated=False, n_samples=0).  Other AN5/AN8 vectors need at least
     10^4 samples and an RngState; their histogram bins n_samples draws, so
     it estimates the same cell probabilities with no smoothing bandwidth.
-    The counts are numpy's 2-D histogram of the draws, binned chunk by chunk.
     """
     if m < 2:
         raise ValueError(f"grid resolution m must be >= 2, got {m}")
@@ -126,29 +150,8 @@ def density_grid(
         cells = np.exp(exact.cells - exact.top)
         cells *= (m * m) / cells.sum()
         return DensityGrid(m=m, cells=cells, estimated=False, n_samples=0, family=family)
-    if n_samples < MIN_ESTIMATED_SAMPLES:
-        raise ValueError(
-            f"{family.variant} needs n_samples >= {MIN_ESTIMATED_SAMPLES} "
-            f"for a histogram density, got {n_samples}"
-        )
-    if rng is None:
-        raise ValueError(f"a {family.variant} histogram density needs an RngState")
-    seed = rng.identity
-    edges = np.linspace(0.0, 1.0, m + 1)
-    counts, lock = np.zeros(m * m, np.intp), threading.Lock()
-
-    def add(lo: int, chunks: Chunks) -> None:
-        for x, y in chunks:
-            flat = _flat_cells(x, y, edges)
-            with lock:
-                np.add.at(counts, flat, 1)
-
-    for _ in pair_blocks(rng, family, n_samples, add):
-        pass
-    cells = counts.reshape(m, m) * (m * m / n_samples)
-    return DensityGrid(
-        m=m, cells=cells, estimated=True, n_samples=n_samples, family=family, seed=seed
-    )
+    cells = _histogram(family, m, n_samples, rng)
+    return DensityGrid(m=m, cells=cells, estimated=True, n_samples=n_samples, family=family, seed=rng.identity)
 
 
 # Exact cells by the trapezoid rule in tau, where t = log U_s = tau - exp(_KNEE
@@ -262,15 +265,15 @@ def _log_cells(
 ) -> Optional[LogCells]:
     """The log of a family's grid and its max: the exact rule, or None where there is none.
 
-    With n_samples, the log of density_grid's histogram of that many draws
-    of RngState(*seed); density_grid refuses a missing seed.
+    With n_samples, the log of the histogram of that many draws of
+    RngState(*seed); _histogram refuses a missing seed.
     """
     if family.has_closed_form:
         mid = grid_midpoints(m)
         log_cells = closed_form_logpdf(family, mid[:, None], mid[None, :])
     else:
         rng = RngState(*seed) if seed else None
-        cells = _cell_masses(family, m) if n_samples is None else density_grid(family, m, n_samples, rng).cells
+        cells = _cell_masses(family, m) if n_samples is None else _histogram(family, m, n_samples, rng)
         if cells is None:
             return None
         with np.errstate(divide="ignore"):

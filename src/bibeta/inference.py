@@ -22,10 +22,10 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from .families import FamilySpec
-from .grids import DEFAULT_GRID_SAMPLES, LogCells, grid_midpoints, log_prior_cells
+from .grids import DEFAULT_GRID_M, DEFAULT_GRID_SAMPLES, LogCells, grid_midpoints, log_prior_cells
 from .sampling import RngState
 from .special import BetaParams
-from .serialize import csv_chunks, csv_text, json_text
+from .serialize import csv_chunks, json_text
 
 
 class DegeneratePosteriorError(RuntimeError):
@@ -140,7 +140,7 @@ def _nonzero_window(log_eta: np.ndarray, log_theta: np.ndarray, prior: LogCells)
 def joint_posterior(
     d: DiagnosticData,
     prior: PriorSpec,
-    m: int = 100,
+    m: int = DEFAULT_GRID_M,
     rng: Optional[RngState] = None,
     prior_samples: int = DEFAULT_GRID_SAMPLES,
 ) -> GridPosterior:
@@ -200,7 +200,7 @@ def marginal_posterior(gp: GridPosterior, coord: str) -> np.ndarray:
 def marginal_csv(gp: GridPosterior, coord: str) -> str:
     axis = gp.eta_axis if coord == "eta" else gp.theta_axis
     masses = marginal_posterior(gp, coord)
-    return csv_text(["coordinate", "probability"], np.column_stack((axis, masses)))
+    return "".join(csv_chunks(["coordinate", "probability"], np.column_stack((axis, masses))))
 
 
 def _marginal_means(gp: GridPosterior) -> Tuple[np.ndarray, np.ndarray, float, float]:
@@ -212,20 +212,21 @@ def _marginal_means(gp: GridPosterior) -> Tuple[np.ndarray, np.ndarray, float, f
 def posterior_summary(gp: GridPosterior) -> PosteriorSummary:
     """Grid-weighted means, argmax cell and Pearson correlation.
 
-    Argmax ties break toward the smaller (i, j) lexicographically.  A grid
+    The variances and the covariance are sums about the means: E[x^2] -
+    mean^2 cancels to rounding noise when the posterior is narrow.  Argmax
+    ties break toward the smaller (i, j) lexicographically.  A grid
     concentrated on a single cell has no correlation; 0 is reported.
     """
     w = gp.weights
     pe, pt, mean_eta, mean_theta = _marginal_means(gp)
-    var_eta = float(pe @ gp.eta_axis**2) - mean_eta**2
-    var_theta = float(pt @ gp.theta_axis**2) - mean_theta**2
+    d_eta, d_theta = gp.eta_axis - mean_eta, gp.theta_axis - mean_theta
+    var_eta, var_theta = float(pe @ d_eta**2), float(pt @ d_theta**2)
     flat = int(np.argmax(w))
     mode = (flat // gp.m, flat % gp.m)
     if var_eta <= 0.0 or var_theta <= 0.0:
         corr = 0.0
     else:
-        exy = float(gp.eta_axis @ w @ gp.theta_axis)
-        corr = (exy - mean_eta * mean_theta) / math.sqrt(var_eta * var_theta)
+        corr = float(d_eta @ w @ d_theta) / math.sqrt(var_eta * var_theta)
     return PosteriorSummary(mean_eta, mean_theta, mode, corr)
 
 

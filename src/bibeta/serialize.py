@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import sys
 from functools import lru_cache
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence, Tuple, Union
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -212,10 +212,8 @@ def csv_chunks(header: Sequence[str], a: np.ndarray) -> Iterator[str]:
     yield from _csv_slices(a)
 
 
-def csv_text(header: Sequence[str], rows: Union[np.ndarray, Iterable[Sequence[Any]]]) -> str:
-    """A header line and one line per row; rows is an iterable of rows or a 2-D float array."""
-    if isinstance(rows, np.ndarray):
-        return "".join(csv_chunks(header, rows))
+def csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
+    """A header line and one line per row of mixed values, each written by fmt (see csv_chunks for float arrays)."""
     head = ",".join(_cell(h) for h in header) + "\n"
     return head + "".join(",".join(_cell(v) for v in row) + "\n" for row in rows)
 
@@ -267,10 +265,7 @@ def json_text(meta: Mapping[str, Any], data: Mapping[str, Any]) -> str:
     return _json_value({"meta": meta, "data": data}, 0) + "\n"
 
 
-def write_text(path: str, text: Union[str, Iterable[str]]) -> None:
-    """Write text, or each string of an iterable in order, to path."""
+def write_text(path: str, chunks: Iterable[str]) -> None:
+    """Write each string of chunks, in order, to path."""
     with open(path, "w", newline="") as fh:
-        if isinstance(text, str):
-            fh.write(text)
-        else:
-            fh.writelines(text)
+        fh.writelines(chunks)

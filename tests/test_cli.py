@@ -649,21 +649,21 @@ GOLDEN_RUNS = {
     ),
     "posterior_ol_minus": (
         "posterior --prior-family ol-minus --prior-alphas 10,2.5,5 --data 100,35,28,50 --m 40",
-        "26bba59b35f8d910e6f3c3a4532514b54c9877e67f75127b6dfd46d3a8a4a06b",
+        "807ab5db54caa53edba4922358f7def9313eea19a72a5575c8f4901093793c4a",
     ),
     "posterior_an8_exact": (
         "posterior --prior-family an8 --prior-alphas 10,0,0,2.5,0,0,0,5 --data 100,35,28,50 --m 40",
-        "89fe87cbdb0c6723b23a8e399508c9d60e59d21ccd95814b42159bfbbd150299",
+        "423db2f63b577ae53e87f32471deeb75cba4f3b403ceea3182aa68f9808ee429",
     ),
     "posterior_an5_histogram": (
         "posterior --prior-family an5 --prior-alphas 5,5,5,5,1e-4 --data 100,35,28,50 --m 40 "
         "--mc-samples 100000 --seed 7",
-        "4864119e62904a4fe06aa9022b0886bf9eab6469a282876c31a9dc0bda35b9e2",
+        "bf67b7e18dd70222a51e1a93fe4dbe62f86e1d39cc0b74fb424c3701777867be",
     ),
     # n=10^4: +0.0 outside rows 27-56 and columns 22-47 of the 60x60 weights
     "posterior_ol_minus_concentrated": (
         "posterior --prior-family ol-minus --prior-alphas 10,2.5,5 --data 10000,3500,2707,3891 --m 60",
-        "0574cc60fb2dee7256edf7cdaf8c2edcd15ac23613517ad93c1aadf4a9af516f",
+        "7b90e12679704e775bc55021aeaaf736fe2e8482a3384654a5e994461bdfdf79",
     ),
     # +0.0 outside cells 15-24 on both axes of 40
     "density_ol_minus_concentrated": (

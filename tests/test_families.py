@@ -35,7 +35,7 @@ from bibeta.grids import MIN_ESTIMATED_SAMPLES, density_grid
 from bibeta.inference import DiagnosticData, PriorSpec, joint_posterior
 from bibeta.sampling import RngState, sample_pairs
 from bibeta.special import BetaParams
-from bibeta.survivability import Interdependent, SurvivabilityScenario, survivability
+from bibeta.survivability import TABLE6_ALPHAS, Interdependent, SurvivabilityScenario, survivability
 from flip_table import (
     FLIP_STRUCTURE,
     flip_an8_embedding,
@@ -467,9 +467,18 @@ class TestStructureTable:
             FamilySpec.independent(BetaParams(3, 2), BetaParams(1, 4))
         )
 
-    def test_an5_has_no_an8_embedding(self):
-        with pytest.raises(ValueError):
-            an8_embedding(FamilySpec.an5(1, 1, 1, 1, 1))
+    def test_an5_embeds_as_an8_zero_pattern(self):
+        """AN5(a1..a5) is AN8(a1, a2, 0, 0, 0, a5, a3, a4) in law: the same marginals and E[XY].
+
+        The error of E[XY] sums three shared shapes in another order, so it agrees to rounding."""
+        for alphas in [*TABLE6_ALPHAS, (5, 5, 5, 5, 1e-4), (1e-4, 2, 0, 0, 0.05), (0, 0, 1, 1, 1)]:
+            a1, a2, a3, a4, a5 = alphas
+            spec = FamilySpec.an5(*alphas)
+            embedded = an8_embedding(spec)
+            assert embedded == FamilySpec.an8(a1, a2, 0, 0, 0, a5, a3, a4)
+            assert marginal_params(embedded) == marginal_params(spec)
+            (e_xy, err), (e_xy_8, err_8) = product_moment(spec), product_moment(embedded)
+            assert e_xy_8 == e_xy and abs(err_8 - err) <= 2.0**-50 * e_xy
 
     @given(st.data(), st.sampled_from(sorted(COMPLEMENTED)))
     def test_an8_complement_permutes_alphas(self, data, which):

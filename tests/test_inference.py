@@ -258,12 +258,16 @@ class TestJointPosterior:
         assert not grid.cells.flags.writeable and grid.top == grid.cells.max()
 
     def test_histogram_prior_needs_an_rng_state(self):
-        """Without an RngState a histogram prior raises density_grid's own error."""
-        with pytest.raises(ValueError) as direct:
-            density_grid(AN5_PRIOR.eta_theta_prior, m=20, n_samples=10_000)
-        with pytest.raises(ValueError) as posterior:
-            joint_posterior(DiagnosticData(50, 20, 15, 25), AN5_PRIOR, m=20, prior_samples=10_000)
-        assert str(posterior.value) == str(direct.value) == "a an5 histogram density needs an RngState"
+        """A histogram prior is refused by density_grid's own checks, with the same message."""
+        for n_samples, rng, message in [
+            (10_000, None, "a an5 histogram density needs an RngState"),
+            (9_999, RngState(75), "an5 needs n_samples >= 10000 for a histogram density, got 9999"),
+        ]:
+            with pytest.raises(ValueError) as direct:
+                density_grid(AN5_PRIOR.eta_theta_prior, m=20, n_samples=n_samples, rng=rng)
+            with pytest.raises(ValueError) as posterior:
+                joint_posterior(DiagnosticData(50, 20, 15, 25), AN5_PRIOR, m=20, rng=rng, prior_samples=n_samples)
+            assert str(posterior.value) == str(direct.value) == message
 
     def test_closed_form_prior_grid_is_cached_read_only(self):
         """The exact prior is built once per (family, m) and reused byte for byte."""
@@ -488,6 +492,13 @@ class TestPosteriorSummary:
             data=DiagnosticData(0, 0, 0, 0),
         )
         assert posterior_summary(gp).mode_cell == (4, 2)
+
+    def test_independent_posterior_has_no_correlation(self):
+        """A product prior times a product likelihood has correlation exactly 0.  At n = 10^7 the
+        posterior sd is ~2e-4, so moments not taken about the mean would cancel to noise."""
+        prior = PriorSpec(FamilySpec.independent(BetaParams(1, 1), BetaParams(1, 1)), BetaParams(1, 1))
+        d = DiagnosticData(10**7, 3_500_000, 2_800_000, 5_000_000)
+        assert abs(posterior_summary(joint_posterior(d, prior, m=1000)).correlation) <= 1e-10
 
     def test_an5_prior_grid_correlation(self):
         gp = joint_posterior(

@@ -7,6 +7,7 @@ import inspect
 import os
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 import typing
@@ -141,3 +142,37 @@ def test_exact_cells_load_scipy_special(tmp_path):
     """The check above can fail: an AN8 prior with one shared component imports scipy.special."""
     argv = ["density", "--family", "an8", "--alphas", "10,0,0,2.5,0,0,0,5", "--m", "10"]
     assert "scipy.special" in scipy_modules_after(argv, tmp_path / "out")
+
+
+def scipy_special_names(path: pathlib.Path) -> set:
+    """The scipy.special names a module looks up, through `import scipy.special [as s]`,
+    `from scipy import special [as s]` or `from scipy.special import name`."""
+    tree = ast.parse(path.read_text())
+    aliases, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {a.asname or a.name for a in node.names if a.name == "scipy.special"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+            aliases |= {a.asname or a.name for a in node.names if a.name == "special"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy.special":
+            names |= {a.name for a in node.names}
+    return names | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and ast.unparse(n.value) in aliases}
+
+
+def version(text: str) -> tuple:
+    return tuple(int(part) for part in text.split("."))
+
+
+def test_scipy_floor_has_every_special_function():
+    """Every scipy.special function the package calls exists at the declared scipy floor: each
+    `versionadded` in a docstring is no newer than it (betaincc, used by exact cells, is 1.11.0)."""
+    import scipy.special
+
+    pyproject = (pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    floor = version(re.search(r'"scipy>=([\d.]+)"', pyproject).group(1))
+    names = set().union(*map(scipy_special_names, pathlib.Path(bibeta.__file__).parent.glob("*.py")))
+    assert "betaincc" in names
+    added = {name: re.search(r"versionadded::\s*([\d.]+)", getattr(scipy.special, name).__doc__ or "")
+             for name in sorted(names)}
+    newer = {name: m.group(1) for name, m in added.items() if m and version(m.group(1)) > floor + (0,) * 3}
+    assert newer == {}
