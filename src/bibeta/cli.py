@@ -41,36 +41,32 @@ from .synth import SynthConfig, generate, true_params
 from .serialize import csv_rows, json_text, write_text
 
 
-class CliError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    """Reports usage errors as CliError, so they follow the JSON error contract."""
+    """Reports usage errors as ValueError, so they follow the JSON error contract."""
 
     def error(self, message: str) -> NoReturn:
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def _parse_floats(text: str, what: str) -> List[float]:
     try:
         return [float(v) for v in text.split(",")]
     except ValueError as exc:
-        raise CliError(f"could not parse {what} {text!r}: {exc}") from None
+        raise ValueError(f"could not parse {what} {text!r}: {exc}") from None
 
 
 def _parse_beta(text: str, what: str) -> BetaParams:
     values = _parse_floats(text, what)
     if len(values) != 2:
-        raise CliError(f"{what} needs exactly two values a,b, got {text!r}")
+        raise ValueError(f"{what} needs exactly two values a,b, got {text!r}")
     return BetaParams(values[0], values[1])
 
 
 def _family_from_flags(variant: Optional[str], alphas: Optional[str], prefix: str = "--") -> FamilySpec:
     if variant is None:
-        raise CliError(f"missing {prefix}family")
+        raise ValueError(f"missing {prefix}family")
     if alphas is None:
-        raise CliError(f"family {variant!r} needs {prefix}alphas")
+        raise ValueError(f"family {variant!r} needs {prefix}alphas")
     return FamilySpec(variant, tuple(_parse_floats(alphas, f"{prefix}alphas")))
 
 
@@ -90,7 +86,7 @@ def _emit(text: Union[str, Iterable[str]], out: Optional[str]) -> None:
             null = os.open(os.devnull, os.O_WRONLY)
             os.dup2(null, sys.stdout.fileno())
             os.close(null)
-        raise CliError(f"could not write {'stdout' if to_stdout else repr(out)}: {exc.strerror or exc}") from None
+        raise ValueError(f"could not write {'stdout' if to_stdout else repr(out)}: {exc.strerror or exc}") from None
 
 
 def _meta(args: argparse.Namespace, keys: Sequence[str]) -> dict:
@@ -107,7 +103,7 @@ def _meta(args: argparse.Namespace, keys: Sequence[str]) -> dict:
 def _cmd_sample(args: argparse.Namespace) -> None:
     family = _family_from_flags(args.family, args.alphas)
     if args.n < 0:
-        raise CliError(f"--n must be >= 0, got {args.n}")
+        raise ValueError(f"--n must be >= 0, got {args.n}")
     rng = RngState(args.seed, args.stream)
     if args.format == "csv":
         # each block is formatted chunk by chunk on its worker and written in
@@ -143,11 +139,8 @@ def _cmd_posterior(args: argparse.Namespace) -> None:
         counts = [Decimal(v) for v in args.data.split(",")]
         integers = all(v.is_integer() and c == c.to_integral_value() for v, c in zip(values, counts))
         if len(values) != 4 or not integers:
-            raise CliError(f"--data needs four integers n,n1,k1,k2, got {args.data!r}")
-        try:
-            d = DiagnosticData(*map(int, counts))
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+            raise ValueError(f"--data needs four integers n,n1,k1,k2, got {args.data!r}")
+        d = DiagnosticData(*map(int, counts))
     elif args.synth_n is not None:
         config = SynthConfig(
             pi=args.synth_pi,
@@ -160,14 +153,14 @@ def _cmd_posterior(args: argparse.Namespace) -> None:
         d = generate(config)
         truth = true_params(config)
     else:
-        raise CliError("posterior needs either --data n,n1,k1,k2 or --synth-n (with synth flags)")
+        raise ValueError("posterior needs either --data n,n1,k1,k2 or --synth-n (with synth flags)")
 
     if args.out in (None, "-"):
-        raise CliError("posterior writes multiple files and needs --out PREFIX")
+        raise ValueError("posterior writes multiple files and needs --out PREFIX")
     # fail before the prior grid is built, not when the first file is written
     directory = os.path.dirname(args.out) or "."
     if not os.path.isdir(directory):
-        raise CliError(f"could not write {args.out!r}: no directory {directory!r}")
+        raise ValueError(f"could not write {args.out!r}: no directory {directory!r}")
     gp = joint_posterior(d, prior, m=args.m, rng=rng, prior_samples=args.mc_samples)
     summary = posterior_summary(gp)
     pi_post = pi_posterior(d, prior.pi_prior)
@@ -244,7 +237,7 @@ def _cmd_closure_check(args: argparse.Namespace) -> None:
     }
     _emit(json_text(meta, data), args.out)
     if not passed:
-        raise CliError("equality-in-law oracle failed for the complemented spec")
+        raise ValueError("equality-in-law oracle failed for the complemented spec")
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +332,9 @@ def _apply_config(parser: argparse.ArgumentParser, argv: List[str]) -> argparse.
             with open(path) as fh:
                 overrides = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"could not read --config {path!r}: {exc}") from None
+            raise ValueError(f"could not read --config {path!r}: {exc}") from None
         if not isinstance(overrides, dict):
-            raise CliError("--config must contain a JSON object of flag values")
+            raise ValueError("--config must contain a JSON object of flag values")
     filled = []
     for key, value in overrides.items():
         if value is not None:
@@ -349,7 +342,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv: List[str]) -> argparse.
     args, unknown = parser.parse_known_args(argv[:1] + filled + argv[1:])
     for key in overrides:
         if not hasattr(args, key.replace("-", "_")):
-            raise CliError(f"--config key {key!r} is not a flag of this subcommand")
+            raise ValueError(f"--config key {key!r} is not a flag of this subcommand")
     if unknown:
         parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     return args

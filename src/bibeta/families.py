@@ -53,7 +53,6 @@ STRUCTURE = {
 }
 
 VARIANTS = frozenset(STRUCTURE)
-OL_VARIANTS = frozenset({OL_PLUS, OL_MINUS, OL_STAR})
 CLOSED_FORM_VARIANTS = frozenset({OL_PLUS, OL_MINUS, OL_STAR, INDEPENDENT})
 
 # Nonzero shapes lie in [MIN_SHAPE, MAX_SHAPE]: subnormal shapes make gamma
@@ -79,7 +78,8 @@ class FamilySpec:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown family variant {self.variant!r}")
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
+        # + 0.0 turns -0.0 into +0.0, so that equal specs write equal bytes
+        object.__setattr__(self, "alphas", tuple(float(a) + 0.0 for a in self.alphas))
         n = len(STRUCTURE[self.variant])
         if len(self.alphas) != n:
             raise ValueError(f"{self.variant} needs {n} alphas, got {len(self.alphas)}")
@@ -260,7 +260,7 @@ def closed_form_logpdf(family: FamilySpec, x: ArrayLike, y: ArrayLike) -> ArrayL
             + (py.b - 1.0) * np.log1p(-y)
             - log_beta(py.a, py.b)
         )
-    if v not in OL_VARIANTS:
+    if not family.has_closed_form:
         raise ValueError(f"{v} has no closed-form joint density")
     columns, ol_minus_columns = zip(*STRUCTURE[v]), zip(*STRUCTURE[OL_MINUS])
     x, y = (c if col == ref else 1.0 - np.asarray(c, dtype=float)

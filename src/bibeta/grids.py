@@ -87,7 +87,7 @@ class DensityGrid:
 
     def csv_chunks(self) -> Iterator[str]:
         """The text of to_csv in strings of whole rows, for writing a large grid without building it whole."""
-        return csv_chunks([f"{y:.12g}" for y in grid_midpoints(self.m)], self.cells)
+        return csv_chunks(grid_midpoints(self.m).tolist(), self.cells)
 
     def to_csv(self) -> str:
         return "".join(self.csv_chunks())

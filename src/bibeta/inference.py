@@ -93,7 +93,7 @@ class GridPosterior:
 
     def csv_chunks(self) -> Iterator[str]:
         """The text of to_csv in strings of whole rows, for writing a large grid without building it whole."""
-        return csv_chunks([f"{t:.12g}" for t in self.theta_axis], self.weights)
+        return csv_chunks(self.theta_axis.tolist(), self.weights)
 
     def to_csv(self) -> str:
         return "".join(self.csv_chunks())
@@ -250,19 +250,13 @@ def predictive_propensity(
 ) -> Tuple[float, float]:
     """Posterior predictive disease probabilities under the propensity reading.
 
-    The eta-weighted marginal posterior mass gives the likelihood of disease
-    after a positive screen, normalized against the complementary event; the
-    theta-weighted mass handles the negative screen symmetrically.  On a
-    point-mass grid this collapses exactly to predictive_values.  pi_star
-    defaults to the posterior mean of the disease prevalence.
+    pi stays conjugate and independent of (eta, theta) a posteriori, so these
+    are predictive_values at pi_star and the posterior means of eta and
+    theta.  pi_star defaults to the posterior mean of the disease prevalence.
     """
     if pi_star is None:
         pi_star = pi_posterior(gp.data, gp.prior.pi_prior).mean
     if not (0.0 < pi_star < 1.0):
         raise ValueError(f"pi_star must lie in (0, 1), got {pi_star}")
     _, _, mean_eta, mean_theta = _marginal_means(gp)
-    pos = pi_star * mean_eta
-    pos_bar = (1.0 - pi_star) * (1.0 - mean_theta)
-    neg = (1.0 - pi_star) * mean_theta
-    neg_bar = pi_star * (1.0 - mean_eta)
-    return pos / (pos + pos_bar), neg / (neg + neg_bar)
+    return predictive_values(pi_star, mean_eta, mean_theta)

@@ -206,8 +206,8 @@ def csv_rows(a: np.ndarray) -> str:
     return "".join(_csv_slices(a))
 
 
-def csv_chunks(header: Sequence[str], a: np.ndarray) -> Iterator[str]:
-    """csv_text of a 2-D float array as the header line, then strings of whole rows of one slice each."""
+def csv_chunks(header: Sequence[Any], a: np.ndarray) -> Iterator[str]:
+    """csv_text of a 2-D float array as the header line, written by fmt, then strings of whole rows of one slice each."""
     yield ",".join(_cell(h) for h in header) + "\n"
     yield from _csv_slices(a)
 

@@ -483,6 +483,32 @@ class TestUsageErrors:
         assert len(err.strip().split("\n")) == 1
         assert named in json.loads(err)["error"]
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("sample", "--family", "ol-plus", "--alphas", "1,x,1"), "could not parse --alphas '1,x,1'"),
+            (("posterior", "--data", "100,35,27,39", "--prior-family", "indep", "--prior-alphas", "1,1,1,1",
+              "--pi-prior", "1,2,3", "--out", "{tmp}/post"), "--pi-prior needs exactly two values a,b"),
+            (("sample", "--family", "ol-plus"), "family 'ol-plus' needs --alphas"),
+            (("sample", "--family", "ol-plus", "--alphas", "1,1,1", "--n", "-3"), "--n must be >= 0, got -3"),
+            (("posterior", "--prior-family", "indep", "--prior-alphas", "1,1,1,1", "--out", "{tmp}/post"),
+             "posterior needs either --data n,n1,k1,k2 or --synth-n"),
+            (("tables", "--table", "4", "--config", "{tmp}/missing.json"), "could not read --config"),
+            (("tables", "--table", "4", "--config", "{tmp}/list.json"),
+             "--config must contain a JSON object of flag values"),
+        ],
+        ids=["unparsable_alphas", "three_value_pi_prior", "family_without_alphas", "negative_n",
+             "posterior_without_data", "unreadable_config", "config_not_an_object"],
+    )
+    def test_validation_error_is_json(self, capsys, tmp_path, argv, message):
+        """Checks made by the subcommands, not by argparse, follow the same contract."""
+        (tmp_path / "list.json").write_text("[1, 2]")
+        rc, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert (rc, out) == (2, "")
+        assert len(err.strip().split("\n")) == 1
+        assert message in json.loads(err)["error"]
+        assert not list(tmp_path.glob("post*"))
+
     def test_bad_config_value_is_json(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"family": "ol-plus", "alphas": "1,1,1", "n": "abc"}))

@@ -159,6 +159,13 @@ class TestFamilySpec:
         assert spec == FamilySpec(INDEPENDENT, (2, 3, 1, 4))
         assert spec.label() == "indep(2,3,1,4)"
 
+    def test_negative_zero_shape_writes_as_zero(self):
+        """-0.0 == 0.0, so the specs are equal and hash alike; they must also write the same bytes."""
+        plus, minus = FamilySpec.an8(10, 0, 0, 2.5, 0.0, 0, 0, 5), FamilySpec.an8(10, 0, 0, 2.5, -0.0, 0, 0, 5)
+        assert minus == plus and hash(minus) == hash(plus)
+        assert minus.label() == plus.label() == "an8(10,0,0,2.5,0,0,0,5)"
+        assert json.dumps(minus.alphas) == json.dumps(plus.alphas)
+
 
 class TestMarginalParams:
     def test_ol_minus_screening_prior(self):

@@ -553,6 +553,31 @@ class TestPredictivePropensity:
         assert got[0] == pytest.approx(want[0], abs=1e-12)
         assert got[1] == pytest.approx(want[1], abs=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=diagnostic_data(),
+        m=st.integers(10, 60),
+        family=st.one_of(
+            st.builds(lambda a: FamilySpec.ol_minus(*a), OL_SHAPES),
+            st.builds(an8_embedding, OL_FAMILIES),
+            st.builds(lambda a, b, c, e: FamilySpec.independent(BetaParams(a, b), BetaParams(c, e)),
+                      SHAPES, SHAPES, SHAPES, SHAPES),
+        ),
+        pi_star=st.none() | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_equals_the_propensity_formula_bit_for_bit(self, d, m, family, pi_star):
+        """predictive_values at the posterior means is the propensity formula as it was written out."""
+        spec = PriorSpec(family, BetaParams(1, 1))
+        gp = joint_posterior(d, spec, m=m)
+        _, _, mean_eta, mean_theta = inference._marginal_means(gp)
+        pi = pi_posterior(d, spec.pi_prior).mean if pi_star is None else pi_star
+        pos = pi * mean_eta
+        pos_bar = (1.0 - pi) * (1.0 - mean_theta)
+        neg = (1.0 - pi) * mean_theta
+        neg_bar = pi * (1.0 - mean_eta)
+        want = pos / (pos + pos_bar), neg / (neg + neg_bar)
+        assert tuple(map(float.hex, predictive_propensity(gp, pi_star))) == tuple(map(float.hex, want))
+
     def test_default_pi_star_is_posterior_mean(self):
         d = DiagnosticData(100, 35, 27, 39)
         gp = joint_posterior(d, INDEP_PRIOR, m=50)
