@@ -38,7 +38,7 @@ from .survivability import (
     table_csv,
 )
 from .synth import SynthConfig, generate, true_params
-from .serialize import csv_rows, json_text, write_text
+from .serialize import csv_rows, json_chunks, write_text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,14 +116,14 @@ def _cmd_sample(args: argparse.Namespace) -> None:
     else:
         x, y = sample_pairs(rng, family, args.n)
         meta = _meta(args, ["family", "alphas", "n", "seed", "stream"])
-        _emit(json_text(meta, {"x": x, "y": y}), args.out)
+        _emit(json_chunks(meta, {"x": x, "y": y}), args.out)
 
 
 def _cmd_density(args: argparse.Namespace) -> None:
     family = _family_from_flags(args.family, args.alphas)
     rng = RngState(args.seed, args.stream)
     grid = density_grid(family, m=args.m, n_samples=args.mc_samples, rng=rng)
-    _emit(grid.csv_chunks() if args.format == "csv" else grid.to_json(), args.out)
+    _emit(grid.csv_chunks() if args.format == "csv" else grid.json_chunks(), args.out)
 
 
 def _cmd_posterior(args: argparse.Namespace) -> None:
@@ -166,9 +166,7 @@ def _cmd_posterior(args: argparse.Namespace) -> None:
     pi_post = pi_posterior(d, prior.pi_prior)
     lam, psi = predictive_propensity(gp)
     out = args.out
-    # grid.json, built whole, sets the process peak: built before the CSV kernel's slices have
-    # grown the heap, it peaks about 1.4 MB lower at m=1000
-    _emit(gp.to_json(seed=rng.identity), f"{out}.grid.json")
+    _emit(gp.json_chunks(seed=rng.identity), f"{out}.grid.json")
     _emit(gp.csv_chunks(), f"{out}.weights.csv")
     _emit(marginal_csv(gp, "eta"), f"{out}.marginal_eta.csv")
     _emit(marginal_csv(gp, "theta"), f"{out}.marginal_theta.csv")
@@ -186,7 +184,7 @@ def _cmd_posterior(args: argparse.Namespace) -> None:
     if truth is not None:
         data["true_eta"] = truth[0]
         data["true_theta"] = truth[1]
-    _emit(json_text(meta, data), f"{out}.summary.json")
+    _emit(json_chunks(meta, data), f"{out}.summary.json")
 
 
 def _cmd_tables(args: argparse.Namespace) -> None:
@@ -235,7 +233,7 @@ def _cmd_closure_check(args: argparse.Namespace) -> None:
         },
         "oracle_passed": passed,
     }
-    _emit(json_text(meta, data), args.out)
+    _emit(json_chunks(meta, data), args.out)
     if not passed:
         raise ValueError("equality-in-law oracle failed for the complemented spec")
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .families import FamilySpec, closed_form_logpdf, marginal_params, ratio_axes
 from .sampling import Chunks, RngState, pair_blocks
-from .serialize import csv_chunks, json_text
+from .serialize import csv_chunks, json_chunks
 
 MIN_ESTIMATED_SAMPLES = 10_000
 DEFAULT_GRID_M = 100
@@ -92,7 +92,8 @@ class DensityGrid:
     def to_csv(self) -> str:
         return "".join(self.csv_chunks())
 
-    def to_json(self) -> str:
+    def json_chunks(self) -> Iterator[str]:
+        """The text of to_json in strings, the cells a slice of rows at a time."""
         meta = {
             "variant": self.family.variant if self.family else None,
             "alphas": list(self.family.alphas) if self.family else None,
@@ -101,7 +102,10 @@ class DensityGrid:
             "seed": list(self.seed) if self.seed else None,
             "estimated": self.estimated,
         }
-        return json_text(meta, {"cells": self.cells})
+        return json_chunks(meta, {"cells": self.cells})
+
+    def to_json(self) -> str:
+        return "".join(self.json_chunks())
 
 
 def _histogram(family: FamilySpec, m: int, n_samples: int, rng: Optional[RngState]) -> np.ndarray:

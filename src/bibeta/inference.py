@@ -25,7 +25,7 @@ from .families import FamilySpec
 from .grids import DEFAULT_GRID_M, DEFAULT_GRID_SAMPLES, LogCells, grid_midpoints, log_prior_cells
 from .sampling import RngState
 from .special import BetaParams
-from .serialize import csv_chunks, json_text
+from .serialize import csv_chunks, json_chunks
 
 
 class DegeneratePosteriorError(RuntimeError):
@@ -98,7 +98,8 @@ class GridPosterior:
     def to_csv(self) -> str:
         return "".join(self.csv_chunks())
 
-    def to_json(self, seed: Optional[Tuple[int, int]] = None) -> str:
+    def json_chunks(self, seed: Optional[Tuple[int, int]] = None) -> Iterator[str]:
+        """The text of to_json in strings, the weights a slice of rows at a time."""
         prior, family = self.prior, self.prior.eta_theta_prior
         meta = {
             "m": self.m,
@@ -113,7 +114,10 @@ class GridPosterior:
             "theta_axis": self.theta_axis,
             "weights": self.weights,
         }
-        return json_text(meta, data)
+        return json_chunks(meta, data)
+
+    def to_json(self, seed: Optional[Tuple[int, int]] = None) -> str:
+        return "".join(self.json_chunks(seed))
 
 
 def pi_posterior(d: DiagnosticData, prior: BetaParams) -> BetaParams:
@@ -226,7 +230,9 @@ def posterior_summary(gp: GridPosterior) -> PosteriorSummary:
     if var_eta <= 0.0 or var_theta <= 0.0:
         corr = 0.0
     else:
-        corr = float(d_eta @ w @ d_theta) / math.sqrt(var_eta * var_theta)
+        # the product of two tiny variances can underflow to 0.0; the product of their roots does not
+        scale = math.sqrt(var_eta * var_theta) or math.sqrt(var_eta) * math.sqrt(var_theta)
+        corr = float(d_eta @ w @ d_theta) / scale
     return PosteriorSummary(mean_eta, mean_theta, mode, corr)
 
 

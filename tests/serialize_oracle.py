@@ -3,7 +3,7 @@
 csv_text formatted every cell with fmt and joined the cells and lines in
 Python; json_text sent the whole document, arrays as nested lists of floats,
 through json.dumps(indent=2, sort_keys=True).  Tests compare the package's
-one-%-format-per-array layouts against these, byte for byte.
+numpy kernels and streamed layouts against these, byte for byte.
 """
 
 import json

@@ -266,6 +266,20 @@ class TestPosterior:
         assert rc == 2
         assert "four integers" in json.loads(err)["error"]
 
+    def test_underflowing_variance_product_has_a_correlation(self, capsys, tmp_path):
+        """Both posterior variances are positive (one is 5e-324) but their product underflows to 0.0:
+        the correlation is still defined, where the run once ended in a ZeroDivisionError traceback."""
+        out = tmp_path / "post"
+        rc, _, err = run(
+            capsys,
+            "posterior", "--data", "42527,42455,1520,3",
+            "--prior-family", "ol-minus", "--prior-alphas", "1,1,1",
+            "--m", "18", "--out", str(out),
+        )
+        assert rc == 0, err
+        summary = json.loads((tmp_path / "post.summary.json").read_text())["data"]
+        assert summary["correlation"] == 0.0
+
     def test_indep_grid_json_metadata(self, capsys, tmp_path):
         out = tmp_path / "post"
         rc, _, _ = run(

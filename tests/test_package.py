@@ -107,12 +107,15 @@ def test_cli_import_does_not_load_thread_pool():
 
 
 def test_cli_import_does_not_build_the_digit_table():
-    """The CSV kernel's lookup tables (~1 MB, ~6 ms) are built on first use, not by `import bibeta.cli`."""
+    """The kernels' lookup tables (digits, per-exponent layouts, Schubfach's powers of ten; about 3 ms
+    together) are built on first use, not by `import bibeta.cli`: every cached table is empty."""
     src = os.path.dirname(os.path.dirname(bibeta.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import bibeta, bibeta.cli, bibeta.serialize as s; print(s._tables.cache_info().currsize)"
+    code = ("import bibeta, bibeta.cli, bibeta.serialize as s\n"
+            "tables = {k: f.cache_info().currsize for k, f in vars(s).items() if hasattr(f, 'cache_info')}\n"
+            "print(sorted(tables), sum(tables.values()))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "0"
+    assert out.stdout.strip() == "['_digit_words', '_layout', '_powers_of_ten'] 0"
 
 
 SCIPY_FREE_RUNS = {

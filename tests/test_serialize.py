@@ -1,9 +1,11 @@
-"""Numeric writers: the CSV kernel and the one-%-format JSON layouts equal the per-cell writers of
-serialize_oracle byte for byte, `sample` and dense grids stream their CSV, and their memory does not
-grow with --n or with the grid."""
+"""Numeric writers: the CSV and JSON kernels and layouts equal the per-cell writers of
+serialize_oracle byte for byte, `sample` and dense grids stream their output, and their memory does
+not grow with --n or with the grid."""
 
 import math
 import os
+import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -13,11 +15,14 @@ from hypothesis.extra import numpy as hnp
 
 import launcher
 import serialize_oracle as oracle
+from bibeta import serialize
 from bibeta.cli import main
 from bibeta.families import FamilySpec
+from bibeta.inference import DiagnosticData, PriorSpec, joint_posterior
 from bibeta.sampling import BLOCK, RngState, sample_pairs
 from bibeta.grids import density_grid
-from bibeta.serialize import _SLICE, csv_chunks, csv_rows, csv_text, json_text
+from bibeta.serialize import _JSON_SLICE, _SLICE, csv_chunks, csv_rows, csv_text, json_chunks, json_text
+from bibeta.special import BetaParams
 
 SPECIAL = [-0.0, 0.0, 1.0, 5e-324, 2.5e-310, 1e-300, 1e300, 3.0, -42.0, 2.0**53, 0.1, 1 / 3,
            np.nan, np.inf, -np.inf]
@@ -87,6 +92,53 @@ def boundary_values() -> np.ndarray:
     return np.concatenate([values, -values[::7]])
 
 
+def binades() -> list:
+    """Both ends of each binade, subnormal ones included: 2^e and the largest float below 2^(e+1)."""
+    ends = [math.ldexp(1.0, e) for e in range(-1074, 1024)]
+    return ends + [math.nextafter(x, 0.0) for x in ends[1:]] + [sys.float_info.max]
+
+
+def digit_counts(rng) -> list:
+    """Decimals of 1 to 17 significant digits at random exponents, 40 of each."""
+    values = []
+    for n in range(1, 18):
+        lead = rng.integers(1, 10, 40)
+        rest = rng.integers(0, 10**(n - 1), 40) if n > 1 else np.zeros(40, int)
+        for d, r, e in zip(lead.tolist(), rest.tolist(), rng.integers(-320, 290, 40).tolist()):
+            values.append(float(f"{d}{r:0{n - 1}d}e{e}" if n > 1 else f"{d}e{e}"))
+    return values
+
+
+def interval_edges() -> list:
+    """Pairs of floats with a decimal exactly on the edge between their rounding intervals.
+
+    The edge between c 2^q and (c + 1) 2^q is (2c + 1) 2^(q-1).  It is a decimal D 2^t 10^k, with D
+    odd, where D 5^k = 2c + 1 has 54 bits: only for 1 <= k <= 23.  Where the intervals, 2^(k+1+t)
+    wide, are narrower than 10^k, no other decimal as short lies in them, so the float with the even
+    c, which reads back from its edges, writes the edge, and the odd one does not.
+    """
+    values = []
+    for k in range(1, 24):
+        lo = -(-2**53 // 5**k) | 1
+        for d in range(lo, min(lo + 40, 2**54 // 5**k), 2):
+            c = (d * 5**k - 1) // 2
+            values += [math.ldexp(c + i, k + 1 + t) for t in range(4) if 2**(k + 1 + t) < 10**k for i in (0, 1)]
+    return values
+
+
+def repr_values() -> np.ndarray:
+    """Floats where a shortest-repr kernel can go wrong, and their neighbours."""
+    rng = np.random.default_rng(24)
+    two53, tiny, big = 2.0**53, 5e-324, sys.float_info.max
+    tens = [float(f"1e{k}") for k in range(-323, 309)]  # repr's notation switches at 1e-4 and 1e16
+    points = (binades() + digit_counts(rng) + interval_edges() + tens
+              + [two53 + k for k in range(-64, 65)] + [k * tiny for k in range(1, 64)] + [2.0**54 + 2, 2.0**63])
+    values = [ulps(x, k) for x in points for k in (-2, -1, 0, 1, 2) if math.isfinite(ulps(x, k))]
+    values += [big, -big, 0.0, -0.0, math.nan, math.inf, -math.inf]
+    values = np.array(values)
+    return np.concatenate([values, -values[::5]])
+
+
 def edge_array(shape):
     size = int(np.prod(shape))
     return np.resize(np.array(SPECIAL), size).reshape(shape)
@@ -122,6 +174,41 @@ class TestLayouts:
         a = np.resize(boundary_values(), shape)
         assert csv_rows(a) == oracle.csv_text([], a.tolist())[1:]
 
+    @pytest.mark.parametrize("cols, extra", [(1, -1), (1, 1), (3, -1), (3, 1), (None, 0)],
+                             ids=["1col-1", "1col+1", "3col-1", "3col+1", "1d"])
+    def test_shortest_repr_matches_oracle(self, cols, extra):
+        """Every class of repr_values, in arrays one row short of and one row past whole slices, and in
+        one row longer than a slice: repr's bytes."""
+        values = repr_values()
+        if cols is None:
+            a = values
+        else:
+            per_slice = _JSON_SLICE // cols
+            a = np.resize(values, (per_slice * (len(values) // _JSON_SLICE + 2) + extra, cols))
+        assert json_text(META, {"v": a}) == oracle.json_text(META, {"v": a.tolist()})
+
+    def test_repr_values_cover_every_class(self):
+        """repr_values holds texts of 1 to 17 digits, both notations, subnormals, and interval edges
+        that the even float of each pair writes and the odd one does not."""
+        values = repr_values()
+        texts = [repr(v) for v in values[np.isfinite(values)].tolist()]
+        lengths = {len(t.split("e")[0].replace("-", "").replace(".", "").strip("0")) for t in texts}
+        assert lengths >= set(range(1, 18))
+        assert any("e" in t for t in texts) and any("e" not in t and "." in t for t in texts)
+        assert (np.abs(values) < sys.float_info.min).sum() > 1000
+        edges = interval_edges()
+        for a, b in zip(edges[::2], edges[1::2]):
+            edge = Decimal(a) + (Decimal(b) - Decimal(a)) / 2
+            even, odd = (a, b) if int(a / math.ulp(a)) % 2 == 0 else (b, a)
+            assert Decimal(repr(even)) == edge != Decimal(repr(odd))
+        assert len(edges) > 1000
+
+    def test_random_bit_patterns_match_oracle(self):
+        """Uniformly random 64-bit patterns: every finite float, subnormals included, NaNs and infinities."""
+        a = np.random.default_rng(2024).integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+        a = a.reshape(-1, 4)
+        assert json_text(META, {"v": a}) == oracle.json_text(META, {"v": a.tolist()})
+
     def test_header_percent_signs_are_literal(self):
         """Header cells are written as they are, % signs included, above the kernel's rows."""
         a = np.zeros((4, 3))
@@ -146,6 +233,44 @@ def test_csv_chunks_are_whole_rows_of_one_slice(rows):
     body = [c for c in chunks[1:] if not c.startswith("0,0,0,0,0,")]
     assert all(c.endswith("\n") and c.count("\n") <= _SLICE // 100 for c in body)
     assert len(body) == -(-rows // (_SLICE // 100))
+
+
+@pytest.mark.parametrize("rows", [_JSON_SLICE // 100 - 1, _JSON_SLICE // 100 + 1, 2 * (_JSON_SLICE // 100) + 1])
+def test_json_chunks_are_whole_rows_of_one_slice(rows):
+    """json_chunks yields the rows of the box a slice at a time: each slice's rows close in its string."""
+    a = np.zeros((rows + 4, 104))
+    a[2:-2, 1:-3] = np.random.default_rng(rows).standard_normal((rows, 100))
+    chunks = list(json_chunks({"m": 3}, {"a": a}))
+    assert "".join(chunks) == oracle.json_text({"m": 3}, {"a": a.tolist()})
+    body = [c for c in chunks if c.count("]") and c.strip("[]0.,\n ")]
+    assert all(c.count("]") <= _JSON_SLICE // 100 for c in body)
+    assert len(body) == -(-rows // (_JSON_SLICE // 100))
+
+
+def test_long_row_is_written_in_slices():
+    """A row of more than one slice of cells comes in strings of at most one slice of values."""
+    a = np.random.default_rng(3).standard_normal(3 * _JSON_SLICE + 5)
+    chunks = list(json_chunks(META, {"a": a}))
+    assert "".join(chunks) == oracle.json_text(META, {"a": a.tolist()})
+    assert max(c.count(",") for c in chunks) <= _JSON_SLICE
+
+
+def test_posterior_json_goes_through_the_fallback_for_almost_no_value(monkeypatch):
+    """On the m=1000 OL-(10,2.5,5) posterior at n=10^4, fewer than 1% of the box's values are written
+    one at a time: the kernel leaves only NaN and +-inf to json.dumps."""
+    calls = []
+    fallback = serialize._json_texts
+    monkeypatch.setattr(serialize, "_json_texts", lambda values: calls.extend(values) or fallback(values))
+    prior = PriorSpec(FamilySpec.ol_minus(10, 2.5, 5), BetaParams(1, 1))
+    gp = joint_posterior(DiagnosticData(10_000, 3500, 2800, 5000), prior, m=1000)
+    gp.to_json()
+    (r0, r1), (c0, c1) = serialize._box(gp.weights)
+    assert (r1 - r0) * (c1 - c0) > 100_000
+    fallbacks = len(calls)
+    assert fallbacks < 0.01 * (r1 - r0) * (c1 - c0)
+    # the counter sees the kernel's fallback: a NaN goes through it
+    assert "NaN" in json_text(META, {"v": np.array([1.5, np.nan])})
+    assert len(calls) == fallbacks + 1
 
 
 @pytest.mark.parametrize("m", [127, 128, 129])
@@ -186,8 +311,9 @@ def test_sample_memory_does_not_grow_with_n():
     assert sample_peak_rss(8 * BLOCK) < 2 * sample_peak_rss(BLOCK)
 
 
-def density_peak_rss(m: int) -> int:
-    argv = ["-m", "bibeta", "density", "--family", "ol-minus", "--alphas", "10,2.5,5", "--m", str(m), "--out", os.devnull]
+def density_peak_rss(m: int, fmt: str = "csv") -> int:
+    argv = ["-m", "bibeta", "density", "--family", "ol-minus", "--alphas", "10,2.5,5", "--m", str(m),
+            "--format", fmt, "--out", os.devnull]
     return launcher.run_python(argv)[1]
 
 
@@ -196,3 +322,10 @@ def test_dense_grid_csv_memory_is_the_grid_plus_slices():
 
     The whole-grid writer peaked at 112 MB against 30 MB for m=100, the streamed one at 54 MB."""
     assert density_peak_rss(1000) < density_peak_rss(100) + 32 * 1024
+
+
+def test_dense_grid_json_memory_is_the_grid_plus_slices():
+    """The m=1000 JSON peaks below the m=100 peak plus 32 MB: its rows are formatted and written slice by slice.
+
+    The whole-document writer peaked at 142 MB against 30 MB for m=100, the streamed one at 54 MB."""
+    assert density_peak_rss(1000, "json") < density_peak_rss(100, "json") + 32 * 1024
