@@ -1,6 +1,6 @@
 """Seeded random generation of gamma variates and bivariate-family samples.
 
-Streams are backed by the counter-based Philox generator keyed through
+Streams are backed by numpy's SFC64 generator keyed through
 ``numpy.random.SeedSequence(seed, spawn_key=(stream, ...))``, so a given
 (seed, stream) pair reproduces the same variate sequence on every platform
 and parallel sub-streams can be derived without coordination.
@@ -8,12 +8,14 @@ and parallel sub-streams can be derived without coordination.
 Pairs are made in blocks of BLOCK pairs on up to MAX_WORKERS threads.  A
 call draws one call key from the state's generator; block k draws the j-th
 nonzero-shape component from spawn_key=(stream, call_key, j, k), fixed by
-the block's index, so the bytes do not depend on the number of cores.
-BLOCK is part of the stream definition, not a tuning knob.  Inside a block
-the pairs are drawn, assembled and consumed CHUNK at a time, which only sizes
-a worker's working set: O(CHUNK) floats plus, per component of shape below
-LOG_SPACE_SHAPE, the block's Gamma(s+1) draws.  numpy fills a draw one variate
-at a time, so any CHUNK gives the same bytes.
+the block's index, so the bytes do not depend on the number of cores.  A
+shape below LOG_SPACE_SHAPE is drawn through the boost identity from two
+streams: its uniforms from that key, its Gamma(s+1) draws from
+(stream, call_key, j, k, 1).  BLOCK is part of the stream definition, not a
+tuning knob.  Inside a block the pairs are drawn, assembled and consumed
+CHUNK at a time, which only sizes a worker's working set: O(CHUNK) floats.
+numpy fills a draw one variate at a time and every stream is consumed in
+order, so any CHUNK gives the same bytes.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ from .families import FamilySpec
 # Gamma(a) = Gamma(a+1) * U^(1/a) taken in log space, so shapes like 1e-4
 # keep their full magnitude information instead of underflowing to zero
 LOG_SPACE_SHAPE = 0.02
+# on the linear path a boosted draw is exp(log G + log(U)/a).  Where log(U)/a <= UNDERFLOW_LOG
+# that is +0.0 unless G > e^15, which for G ~ Gamma(a+1), a < 0.02, has probability below
+# e^(-3e6); so G is drawn only where log(U)/a > UNDERFLOW_LOG (7% of the pairs at a = 1e-4)
+UNDERFLOW_LOG = -760.0
 
 # pairs per block (changing it changes every sample), the most threads, and the pairs a
 # worker assembles at once: on 2 cores the AN5-prior posterior peaked at 42.3, 43.7, 46.8,
@@ -64,16 +70,13 @@ class RngState:
     @property
     def generator(self) -> np.random.Generator:
         if self._generator is None:
-            self._generator = np.random.Generator(
-                np.random.Philox(seed=np.random.SeedSequence(self.seed, spawn_key=(self.stream,)))
-            )
+            self._generator = self.child()
         return self._generator
 
     def child(self, *key: int) -> np.random.Generator:
         """A fresh generator on a derived sub-stream; does not advance this state."""
-        return np.random.Generator(
-            np.random.Philox(seed=np.random.SeedSequence(self.seed, spawn_key=(self.stream, *key)))
-        )
+        seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream, *key))
+        return np.random.Generator(np.random.SFC64(seq))
 
     @property
     def identity(self) -> Tuple[int, int]:
@@ -92,13 +95,20 @@ def _log_in_place(g: np.ndarray) -> None:
         np.log(g, out=g)
 
 
-def _boost_log_in_place(w: np.ndarray, u: np.ndarray, shape: float) -> None:
-    # boost identity in logs: ln Gamma(shape) = ln Gamma(shape+1) + ln(U)/shape
-    with np.errstate(divide="ignore"):
-        np.log(w, out=w)
-        np.log(u, out=u)
+def _boosted(u: np.ndarray, boost: np.random.Generator, shape: float, log_path: bool) -> np.ndarray:
+    """Gamma(shape) = Gamma(shape+1) * U^(1/shape) from the uniforms u and, in order, boost's
+    Gamma(shape+1) draws: in logs on the log path, else drawing those only where the draw can be nonzero."""
+    _log_in_place(u)
     u /= shape
-    w += u
+    kept = slice(None) if log_path else u > UNDERFLOW_LOG
+    w = boost.standard_gamma(shape + 1.0, u[kept].size)
+    _log_in_place(w)
+    w += u[kept]
+    if log_path:
+        return w
+    g = np.zeros(u.size)
+    g[kept] = np.exp(w, out=w)
+    return g
 
 
 def _ratio(num: list, rest: list, log_path: bool) -> np.ndarray:
@@ -120,25 +130,17 @@ def _ratio(num: list, rest: list, log_path: bool) -> np.ndarray:
 Chunks = Iterator[Tuple[np.ndarray, np.ndarray]]
 
 
-def pair_blocks(
-    rng: RngState,
-    family: FamilySpec,
-    n: int,
-    consume: Callable[[int, Chunks], T],
-) -> Iterator[T]:
+def pair_blocks(rng: RngState, family: FamilySpec, n: int, consume: Callable[[int, Chunks], T]) -> Iterator[T]:
     """consume(lo, chunks) for each block of n draws from pair lo on, in block order.
 
-    Block k, a task on a worker thread, draws its slice of component j from
-    rng.child(call_key, j, k).  chunks yields the block's pairs in order as
-    (x, y) arrays of at most CHUNK pairs, each drawn and assembled (_ratio)
-    when consume asks for it, so a worker holds O(CHUNK) floats.  Shapes below
-    LOG_SPACE_SHAPE are drawn in logs through the boost identity; their stream
-    holds the block's Gamma(s+1) draws before its uniforms, so those are drawn
-    first, in CHUNK pieces let go as they are used.  The ratios are assembled
-    from logs only where some axis's numerator or rest has no other shape, as
-    its sum could underflow to 0 (B(1e-4, 1e-4) would read 0/0), else from
-    the exponentiated draws.  A zero shape draws nothing (families.ratio_axes
-    leaves it out).
+    Each block is a task on a worker thread that reads the sub-streams laid
+    out above.  chunks yields the block's pairs in order as (x, y) arrays of
+    at most CHUNK pairs, each drawn and assembled (_ratio) when consume asks
+    for it.  Shapes below LOG_SPACE_SHAPE go through the boost identity
+    (_boosted).  The ratios are assembled from logs only where some axis's
+    numerator or rest has no other shape, as its sum could underflow to 0
+    (B(1e-4, 1e-4) would read 0/0), else from the exponentiated draws.  A
+    zero shape draws nothing (families.ratio_axes leaves it out).
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -149,22 +151,19 @@ def pair_blocks(
     call_key = int(rng.generator.integers(1 << 63))
 
     def chunks(lo: int, hi: int) -> Chunks:
-        gens = {i: rng.child(call_key, j, lo // BLOCK) for j, i in enumerate(live)}
-        sizes = [min(CHUNK, hi - start) for start in range(lo, hi, CHUNK)]
-        # a tiny shape's stream holds all the block's Gamma(s+1) draws before its uniforms
-        boosted = {i: [gens[i].standard_gamma(shapes[i] + 1.0, size) for size in sizes][::-1]
-                   for i in live if shapes[i] < LOG_SPACE_SHAPE}
-        for size in sizes:
-            draws = {}
+        k = lo // BLOCK
+        gens = {i: rng.child(call_key, j, k) for j, i in enumerate(live)}
+        boosts = {i: rng.child(call_key, j, k, 1) for j, i in enumerate(live) if shapes[i] < LOG_SPACE_SHAPE}
+        for start in range(lo, hi, CHUNK):
+            size, draws = min(CHUNK, hi - start), {}
             for i in live:
-                s, gen = shapes[i], gens[i]
-                g = draws[i] = boosted[i].pop() if i in boosted else gen.standard_gamma(s, size)
-                if i in boosted:
-                    _boost_log_in_place(g, gen.random(size), s)
-                    if not log_path:
-                        np.exp(g, out=g)
-                elif log_path:
-                    _log_in_place(g)
+                if i in boosts:
+                    g = _boosted(gens[i].random(size), boosts[i], shapes[i], log_path)
+                else:
+                    g = gens[i].standard_gamma(shapes[i], size)
+                    if log_path:
+                        _log_in_place(g)
+                draws[i] = g
             x, y = (_ratio([draws[i] for i in num], [draws[i] for i in rest], log_path) for num, rest in axes)
             del draws, g  # only the two coordinates stay alive while consume runs
             yield x, y

@@ -649,31 +649,31 @@ class TestGridTooLarge:
 GOLDEN_RUNS = {
     "sample_ol_plus": (
         "sample --family ol-plus --alphas 3,1,1 --n 20000 --seed 7",
-        "97654429760e58d3e25decf5783841882cc2ad6a67206a3e5dd8fe89ce0fb2b8",
+        "b74775a09950e8cdf2eb9c65ca405a1871baa14218aea902346779b580380c51",
     ),
     "sample_ol_minus": (
         "sample --family ol-minus --alphas 10,2.5,5 --n 20000 --seed 7",
-        "5a86d6509d9236c926d3a65862769cdbe47c23de806edc0c248d9045b11264f0",
+        "67336808a51618fa999340a2d9f391a3f9f0d08da05616ac9db269a776a48e6d",
     ),
     "sample_ol_star": (
         "sample --family ol-star --alphas 2,5,0.5 --n 20000 --seed 7",
-        "a77d6cc035630ee6ab1e9274c14a5e433f0a9d899c364331c84b73267b4bedba",
+        "e95a9965180f2cd87661aa1163b834b0e13e98a86b5dfe1b3df3dc72df414ee3",
     ),
     "sample_indep": (
         "sample --family indep --alphas 2,3,4,1 --n 20000 --seed 7",
-        "1e49607aa8bb6541f9993bb15638e81a2504b7da16d0e664d19c13072eb34f30",
+        "2f9baeda9b35a5631b428b54d079d6880b5c71af93a73d54e21cd040bfe9a6d3",
     ),
     "sample_an5": (
         "sample --family an5 --alphas 5,5,5,5,1e-4 --n 20000 --seed 7",
-        "f45324e1d4480c16fa272a82079a2eb5e01466a19b15dd212fbc2ebd57f5aa64",
+        "fbda77bbe9c401d2b131377ae0d777919148a15ee7023a4d920edfd90306f63a",
     ),
     "sample_an5_zeros": (
         "sample --family an5 --alphas 1e-4,2,0,0,0.05 --n 20000 --seed 7",
-        "aa7fcfa66563b2e746cfcf299a5ebe60fcc8c5b1f7c1331b042df043db4531e0",
+        "e104874863bb896a956f056e7200719abef0cb3d13a26faa28b4596b382931ca",
     ),
     "sample_an8": (
         "sample --family an8 --alphas 1,2,3,0.5,1.5,2.5,0.7,1.2 --n 20000 --seed 7",
-        "0d9b70ddb0a770f8beef98c63fbc66e947c55895d7d17f24856eb9be146fa794",
+        "1ae4954a44c259d021bca10c697b4704e565c75f0d762140a5061b3a9065933f",
     ),
     "density_ol_plus": (
         "density --family ol-plus --alphas 3,1,1 --m 30 --format json",
@@ -685,7 +685,7 @@ GOLDEN_RUNS = {
     ),
     "density_an5_histogram": (
         "density --family an5 --alphas 5,5,5,5,1e-4 --m 30 --mc-samples 100000 --seed 7 --format json",
-        "68488fbd3e3904b137d3f5f29b95c9305c835a4e8163da47820359f9437b71fa",
+        "2d4e73e3a8b965ad37355d32abf441f023512c41f78cc62a500bba2e65638e51",
     ),
     "posterior_ol_minus": (
         "posterior --prior-family ol-minus --prior-alphas 10,2.5,5 --data 100,35,28,50 --m 40",
@@ -698,7 +698,7 @@ GOLDEN_RUNS = {
     "posterior_an5_histogram": (
         "posterior --prior-family an5 --prior-alphas 5,5,5,5,1e-4 --data 100,35,28,50 --m 40 "
         "--mc-samples 100000 --seed 7",
-        "bf67b7e18dd70222a51e1a93fe4dbe62f86e1d39cc0b74fb424c3701777867be",
+        "675cf16bd17ef22af372468d66031b402e56d3d1c6872fd5912bb3e61f7dab19",
     ),
     # n=10^4: +0.0 outside rows 27-56 and columns 22-47 of the 60x60 weights
     "posterior_ol_minus_concentrated": (

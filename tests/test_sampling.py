@@ -16,9 +16,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from scipy import special as sp_special
+from scipy import stats
 
 import launcher
 from bibeta import families, sampling
@@ -29,7 +30,6 @@ from bibeta.sampling import (
     BLOCK,
     LOG_SPACE_SHAPE,
     RngState,
-    _boost_log_in_place,
     sample_pairs,
 )
 from bibeta.special import BetaParams
@@ -101,10 +101,8 @@ class TestDeterminism:
 
 def tiny_gamma(seed: int, shape: float, n: int) -> np.ndarray:
     """Gamma(shape) draws through the log-space boost that sample_pairs uses below 0.02."""
-    gen = RngState(seed).generator
-    w = gen.standard_gamma(shape + 1.0, size=n)
-    _boost_log_in_place(w, gen.random(n), shape)
-    return np.exp(w)
+    rng = RngState(seed)
+    return np.exp(sampling._boosted(rng.child(0).random(n), rng.child(1), shape, log_path=True))
 
 
 def central_moment_4(p: BetaParams) -> float:
@@ -181,6 +179,40 @@ class TestGammaSample:
             assert abs(p_ours - p_ref) < 4 * se + 1e-9
         se_mean = math.sqrt(2 * shape / n)
         assert abs(ours.mean() - ref.mean()) < 4 * se_mean
+
+    @settings(deadline=None, max_examples=10)
+    @given(
+        log_shape=st.floats(math.log(1e-4), math.log(LOG_SPACE_SHAPE), exclude_max=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_linear_path_skips_only_draws_that_are_zero(self, log_shape, seed):
+        """On the linear path a tiny shape draws Gamma(s+1) only where log(U)/s > UNDERFLOW_LOG,
+        and its draws keep the Gamma(s) law rounded to doubles.  Three checks, each with a
+        false-alarm rate of at most 1e-6 per example: the Gamma(s+1) draws number
+        Binomial(n, 1 - e^(UNDERFLOW_LOG s)); the nonzero draws number Binomial(n, 1 - P(s, 2^-1075)),
+        as Gamma(s) rounds to +0.0 below half the least subnormal, where P(s, x) = x^s / Gamma(s+1)
+        to within a relative s x; and the nonzero draws pass a KS test against P(s, .) conditioned
+        on exceeding 2^-1075."""
+        shape, n, floor = math.exp(log_shape), 200_000, 1e-6
+        assume(shape < LOG_SPACE_SHAPE)
+        rng = RngState(seed)
+
+        class Counted:
+            drawn, gen = 0, rng.child(1)
+
+            def standard_gamma(self, a, size):
+                self.drawn += size
+                return self.gen.standard_gamma(a, size)
+
+        boost = Counted()
+        g = sampling._boosted(rng.child(0).random(n), boost, shape, log_path=False)
+        p_drawn = -math.expm1(sampling.UNDERFLOW_LOG * shape)
+        assert stats.binomtest(boost.drawn, n, p_drawn).pvalue >= floor
+        p_zero = math.exp(-1075 * math.log(2.0) * shape - math.lgamma(shape + 1.0))
+        nonzero = g[g > 0.0]
+        assert stats.binomtest(nonzero.size, n, 1.0 - p_zero).pvalue >= floor
+        cdf = lambda v: (sp_special.gammainc(shape, v) - p_zero) / (1.0 - p_zero)  # noqa: E731
+        assert stats.kstest(nonzero, cdf).pvalue >= floor
 
 
 def sample_correlation(family: FamilySpec, n: int, rng: RngState):
@@ -317,39 +349,48 @@ def reference_pairs(rng: RngState, family: FamilySpec, n: int, log_path=None, dt
     """Whole-array oracle of the block stream layout.
 
     Each nonzero-shape component j is drawn block by block from its
-    sub-stream rng.child(call_key, j, k) and the blocks are concatenated;
-    both ratios are then assembled once over all n draws from the (roles,
-    flip) table of flip_table, a complemented coordinate dividing its rest,
-    in log space where takes_log_path says so (or log_path forces).  Sums
-    add in index order, as the sampler's do, and the ratio's denominator
-    top + rem equals rem + top bit for bit, so the block-parallel sampler
-    must reproduce these bytes for any n and any core count.  With
+    sub-stream rng.child(call_key, j, k) and the blocks are concatenated.
+    A shape s below LOG_SPACE_SHAPE takes its uniforms U from that stream
+    and its Gamma(s+1) draws G, in order, from rng.child(call_key, j, k, 1),
+    and its log draw is log G + log(U)/s.  Where the family takes the linear
+    path (takes_log_path), G is drawn only where log(U)/s > UNDERFLOW_LOG and
+    the draw is +0.0 elsewhere.  Both ratios are then assembled once over all
+    n draws from the (roles, flip) table of flip_table, a complemented
+    coordinate dividing its rest, in log space where takes_log_path says so
+    (or log_path forces; the draws keep the family's layout).  Sums add in
+    index order, as the sampler's do, and the ratio's denominator top + rem
+    equals rem + top bit for bit, so the block-parallel sampler must
+    reproduce these bytes for any n, any CHUNK and any core count.  With
     dtype=np.longdouble the same draws are assembled in extended precision.
     """
     shapes, b = family.alphas, sampling.BLOCK
+    layout_log = takes_log_path(family)
     if log_path is None:
-        log_path = takes_log_path(family)
+        log_path = layout_log
     call_key = int(rng.generator.integers(1 << 63))
     sizes = [min(b, n - lo) for lo in range(0, n, b)]
     live = [i for i, s in enumerate(shapes) if s > 0.0]
+
+    def cat(parts, dtype=float):
+        return np.concatenate([np.empty(0, dtype)] + parts)
+
     draws = {}
     for j, i in enumerate(live):
         s = shapes[i]
         gens = [rng.child(call_key, j, k) for k in range(len(sizes))]
-        if s < LOG_SPACE_SHAPE:
-            parts = [(gen.standard_gamma(s + 1.0, size=size), gen.random(size)) for gen, size in zip(gens, sizes)]
-            w = np.concatenate([np.empty(0)] + [p[0] for p in parts])
-            u = np.concatenate([np.empty(0)] + [p[1] for p in parts])
-            with np.errstate(divide="ignore"):
-                draws[i] = np.log(w) + np.log(u) / s
-            if not log_path:
-                draws[i] = np.exp(draws[i])
-        else:
-            g = np.concatenate([np.empty(0)] + [gen.standard_gamma(s, size=size) for gen, size in zip(gens, sizes)])
-            if log_path:
-                with np.errstate(divide="ignore"):
-                    g = np.log(g)
-            draws[i] = g
+        with np.errstate(divide="ignore"):
+            if s < LOG_SPACE_SHAPE:
+                t = [np.log(gen.random(size)) / s for gen, size in zip(gens, sizes)]
+                kept = [np.full(v.size, True) if layout_log else v > sampling.UNDERFLOW_LOG for v in t]
+                w = [rng.child(call_key, j, k, 1).standard_gamma(s + 1.0, np.count_nonzero(c))
+                     for k, c in enumerate(kept)]
+                t, kept, w = cat(t), cat(kept, bool), cat(w)
+                logs = np.full(n, -np.inf)
+                logs[kept] = np.log(w) + t[kept]
+                draws[i] = logs if log_path else np.exp(logs)
+            else:
+                g = cat([gen.standard_gamma(s, size=size) for gen, size in zip(gens, sizes)])
+                draws[i] = np.log(g) if log_path else g
         draws[i] = draws[i].astype(dtype)
     coords = []
     for num, rest, flipped in flip_axes(family.variant):
@@ -510,15 +551,23 @@ class TestBlockAssembly:
         assert peaks[1] < 2 * peaks[0], peaks
 
     def test_log_transforms_take_zero_draws_silently_on_a_thread(self):
-        """A gamma draw that underflows to 0 has log -inf, as at one thread, with no warning."""
-        g, w, u = np.array([0.0, 1.0]), np.array([0.0, 2.0]), np.array([0.5, 0.0])
+        """A gamma draw or uniform that underflows to 0 has log -inf, as at one thread, with no
+        warning, and a boosted draw on the linear path is then +0.0."""
+
+        class Zeros:  # Gamma(s+1) draws that underflowed to 0
+            def standard_gamma(self, a, size):
+                return np.zeros(size)
+
+        g = np.array([0.0, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with concurrent.futures.ThreadPoolExecutor(2) as pool:
                 pool.submit(sampling._log_in_place, g).result()
-                pool.submit(sampling._boost_log_in_place, w, u, 1e-4).result()
+                w = pool.submit(sampling._boosted, np.array([0.5, 0.0]), Zeros(), 1e-4, True).result()
+                lin = pool.submit(sampling._boosted, np.array([1.0, 0.0]), Zeros(), 1e-4, False).result()
         assert g.tolist() == [-np.inf, 0.0]
         assert w.tolist() == [-np.inf, -np.inf]
+        assert lin.tolist() == [0.0, 0.0]
 
     def test_more_workers_than_cores(self, monkeypatch):
         """Four threads on fewer cores, switching often, still fill every slot exactly once
@@ -584,6 +633,40 @@ class TestChunks:
         whole = chunked_outputs(tmp_path, family, ns)
         monkeypatch.setattr(sampling, "CHUNK", chunk)
         assert chunked_outputs(tmp_path, family, ns) == whole
+
+    @pytest.mark.parametrize("name", ["an5_linear_tiny", "an5_log"])
+    def test_tiny_paths_do_not_depend_on_chunk_at_block_size(self, monkeypatch, name):
+        """At the default BLOCK, CHUNK = 2^10 and 2^14 give the same pairs on the linear and the
+        log tiny path, whose Gamma(s+1) streams are taken a chunk at a time."""
+        family, n = BLOCK_FAMILIES[name], BLOCK + 3 * 1024 + 5
+        runs = []
+        for chunk in (1 << 10, 1 << 14):
+            monkeypatch.setattr(sampling, "CHUNK", chunk)
+            runs.append([c.tobytes() for c in sample_pairs(RngState(91), family, n)])
+        assert runs[0] == runs[1]
+
+    def test_tiny_shape_working_set_is_per_chunk(self, monkeypatch):
+        """Log-path AN5(5,5,5,1e-4,1e-4) blocks of 2^16 pairs, drawn a 2^10-pair chunk at a time
+        on one worker, peak under 32 chunk-sized float arrays (256 KB) of traced memory.  Holding
+        each block's Gamma(s+1) draws of its two tiny shapes (1 MB) peaked at 142 of them."""
+        monkeypatch.setattr(sampling, "BLOCK", 1 << 16)
+        monkeypatch.setattr(sampling, "CHUNK", 1 << 10)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+
+        def draw() -> None:
+            family, n = BLOCK_FAMILIES["an5_log"], 4 * sampling.BLOCK
+            for _ in sampling.pair_blocks(RngState(92), family, n, lambda lo, chunks: sum(1 for _ in chunks)):
+                pass
+
+        draw()  # the first call allocates what later calls reuse
+        tracemalloc.start()
+        try:
+            draw()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * sampling.CHUNK * 8, peak / (sampling.CHUNK * 8)
 
     # density_grid's tracemalloc peak in a child on at most two cores, so at most two blocks
     # are in flight on any machine.  At m=100, holding a whole block's pairs peaked at 30-35 MB
