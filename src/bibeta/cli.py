@@ -18,27 +18,12 @@ import numpy as np
 
 from . import __version__, families
 from .families import FamilySpec, an8_embedding, complement
-from .grids import DEFAULT_GRID_M, DEFAULT_GRID_SAMPLES, density_grid
-from .inference import (
-    DiagnosticData,
-    PriorSpec,
-    joint_posterior,
-    marginal_csv,
-    pi_posterior,
-    posterior_summary,
-    predictive_propensity,
-)
-from .sampling import RngState, pair_blocks, sample_pairs
 from .special import BetaParams
-from .survivability import (
-    Interdependent,
-    SurvivabilityScenario,
-    reproduce_table,
-    survivability,
-    table_csv,
-)
-from .synth import SynthConfig, generate, true_params
 from .serialize import csv_rows, json_chunks, write_text
+
+# Each handler imports the modules it runs, so that `tables` and `closure-check`
+# load neither sampling nor grids nor inference, nor the thread pool and scipy
+# that those may load.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,6 +86,8 @@ def _meta(args: argparse.Namespace, keys: Sequence[str]) -> dict:
 
 
 def _cmd_sample(args: argparse.Namespace) -> None:
+    from .sampling import RngState, pair_blocks, sample_pairs
+
     family = _family_from_flags(args.family, args.alphas)
     if args.n < 0:
         raise ValueError(f"--n must be >= 0, got {args.n}")
@@ -120,6 +107,10 @@ def _cmd_sample(args: argparse.Namespace) -> None:
 
 
 def _cmd_density(args: argparse.Namespace) -> None:
+    from .grids import density_grid
+    from .sampling import RngState
+
+    _grid_defaults(args)
     family = _family_from_flags(args.family, args.alphas)
     rng = RngState(args.seed, args.stream)
     grid = density_grid(family, m=args.m, n_samples=args.mc_samples, rng=rng)
@@ -127,6 +118,11 @@ def _cmd_density(args: argparse.Namespace) -> None:
 
 
 def _cmd_posterior(args: argparse.Namespace) -> None:
+    from .inference import (DiagnosticData, PriorSpec, joint_posterior, marginal_csv, pi_posterior,
+                            posterior_summary, predictive_propensity)
+    from .sampling import RngState
+
+    _grid_defaults(args)
     prior_family = _family_from_flags(args.prior_family, args.prior_alphas, "--prior-")
     prior = PriorSpec(prior_family, _parse_beta(args.pi_prior, "--pi-prior"))
     rng = RngState(args.seed, args.stream)
@@ -142,6 +138,8 @@ def _cmd_posterior(args: argparse.Namespace) -> None:
             raise ValueError(f"--data needs four integers n,n1,k1,k2, got {args.data!r}")
         d = DiagnosticData(*map(int, counts))
     elif args.synth_n is not None:
+        from .synth import SynthConfig, generate, true_params
+
         config = SynthConfig(
             pi=args.synth_pi,
             n=args.synth_n,
@@ -188,6 +186,8 @@ def _cmd_posterior(args: argparse.Namespace) -> None:
 
 
 def _cmd_tables(args: argparse.Namespace) -> None:
+    from .survivability import reproduce_table, table_csv
+
     _emit(table_csv(reproduce_table(args.table)), args.out)
 
 
@@ -202,6 +202,8 @@ def _closure_oracle(family: FamilySpec, flipped: FamilySpec, which: str) -> dict
     through survivability's (E XY - E X E Y)/sqrt(V_x V_y).  Complementing a
     coordinate maps its mean m to 1 - m and flips the correlation's sign.
     """
+    from .survivability import Interdependent, SurvivabilityScenario, survivability
+
     flip_x, flip_y = which in ("x", "both"), which in ("y", "both")
     f, g = (survivability(SurvivabilityScenario(Interdependent(s))) for s in (family, flipped))
     (fx, fy), (gx, gy) = f.component_survivability, g.component_survivability
@@ -251,6 +253,19 @@ def _add_family_flags(p: argparse.ArgumentParser, prefix: str = "") -> None:
     )
 
 
+def _add_grid_flags(p: argparse.ArgumentParser) -> None:
+    # left unset, they take the grids module's defaults when the handler runs (_grid_defaults)
+    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--mc-samples", type=int, default=None)
+
+
+def _grid_defaults(args: argparse.Namespace) -> None:
+    from .grids import DEFAULT_GRID_M, DEFAULT_GRID_SAMPLES
+
+    args.m = DEFAULT_GRID_M if args.m is None else args.m
+    args.mc_samples = DEFAULT_GRID_SAMPLES if args.mc_samples is None else args.mc_samples
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stream", type=int, default=0)
@@ -275,8 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="density grid of a family")
     _add_family_flags(p)
-    p.add_argument("--m", type=int, default=DEFAULT_GRID_M)
-    p.add_argument("--mc-samples", type=int, default=DEFAULT_GRID_SAMPLES)
+    _add_grid_flags(p)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     _add_common(p)
     p.set_defaults(func=_cmd_density)
@@ -292,8 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--synth-t", type=float, default=3.25)
     _add_family_flags(p, "prior-")
     p.add_argument("--pi-prior", default="1,1", help="a,b of the beta prior on prevalence")
-    p.add_argument("--m", type=int, default=DEFAULT_GRID_M)
-    p.add_argument("--mc-samples", type=int, default=DEFAULT_GRID_SAMPLES)
+    _add_grid_flags(p)
     _add_common(p)
     p.set_defaults(func=_cmd_posterior)
 

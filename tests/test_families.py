@@ -27,6 +27,7 @@ from bibeta.families import (
     an8_embedding,
     closed_form_logpdf,
     complement,
+    _softplus,
     marginal_params,
     product_moment,
     ratio_axes,
@@ -36,6 +37,7 @@ from bibeta.inference import DiagnosticData, PriorSpec, joint_posterior
 from bibeta.sampling import RngState, sample_pairs
 from bibeta.special import BetaParams
 from bibeta.survivability import TABLE6_ALPHAS, Interdependent, SurvivabilityScenario, survivability
+import de_reference
 from flip_table import (
     FLIP_STRUCTURE,
     flip_an8_embedding,
@@ -513,6 +515,7 @@ class TestStructureTable:
 
 
 MOMENT_SHAPES = st.floats(min_value=0.05, max_value=20.0)
+WIDE_SHAPES = st.floats(min_value=-4.0, max_value=6.0).map(lambda e: 10.0**e)
 # exact correlations: OL+ Table 5 rows to 7 decimals, OL- and AN5 to 5
 EXACT_CORRELATIONS = [
     (FamilySpec.ol_plus(1, 1, 1), 0.4784176, 5e-8),
@@ -599,6 +602,24 @@ class TestProductMoment:
         assert abs(correlation(spec, e_xy) - rho) <= tol
         assert 0 < err <= 1e-9
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(closed_specs(WIDE_SHAPES), st.tuples(*[WIDE_SHAPES] * 5).map(lambda a: FamilySpec.an5(*a))))
+    @example(FamilySpec.an8(1, 2, 3, 0.5, 1.5, 2.5, 0.7, 1.2))
+    @example(FamilySpec.an5(5, 10, 0.1, 0.1, 0.5))
+    @example(FamilySpec.independent(BetaParams(1, 1e6), BetaParams(20, 20)))
+    def test_agrees_with_rules_evaluated_afresh(self, spec):
+        """The nested rule against the earlier one, which evaluates every rule afresh with
+        np.logaddexp (tests/de_reference.py), at shapes 1e-4 to 1e6: the two agree within
+        each one's reported error, and refuse the same families."""
+        try:
+            ref, ref_err = de_reference.product_moment(spec)
+        except ValueError:
+            with pytest.raises(ValueError, match="did not converge"):
+                product_moment(spec)
+            return
+        e_xy, err = product_moment(spec)
+        assert abs(e_xy - ref) <= min(err, ref_err)
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -620,6 +641,30 @@ class TestProductMoment:
         n = 200_000
         x, y = sample_pairs(RngState(140), spec, n)
         assert abs(e_xy - (x * y).mean()) <= 4 * (x * y).std() / math.sqrt(n) + err
+
+
+class TestSoftplus:
+    """product_moment's softplus against np.logaddexp(0, x), the scalar loop it replaces."""
+
+    @settings(max_examples=300)
+    @given(st.lists(st.one_of(st.floats(min_value=-1e308, max_value=1e308), st.floats(min_value=-750.0, max_value=50.0)),
+                    min_size=1, max_size=64))
+    @example([-745.2, -745.0, -720.0, -37.5, -36.0, -1e-300, -0.0, 0.0, 1e-300, 0.5, 36.0, 37.5, 710.0, 1e308])
+    @example([-1e308, -800.0, -40.0, 40.0, 800.0])
+    def test_agrees_with_logaddexp(self, values):
+        """Within 2 ulp relative over the finite range; where the result is subnormal
+        (x below about -708), within one subnormal ulp, 2^-1074."""
+        x = np.array(values)
+        got, ref = _softplus(x), np.logaddexp(0.0, x)
+        assert np.all(np.abs(got - ref) <= np.maximum(2 * 2.0**-52 * ref, 2.0**-1074))
+
+    def test_tails(self):
+        """Below -37 the result is e^x to rounding (and +0.0 below -745.14), above 37 it is x."""
+        low = np.array([-745.2, -745.0, -700.0, -300.0, -37.5])
+        assert np.all(np.abs(_softplus(low) - np.exp(low)) <= np.maximum(2.0**-52 * np.exp(low), 2.0**-1074))
+        assert _softplus(np.array([-745.2]))[0] == 0.0
+        high = np.array([37.5, 100.0, 1e6, 1e308])
+        assert np.array_equal(_softplus(high), high)
 
 
 class TestClosureOracle:

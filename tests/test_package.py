@@ -97,6 +97,65 @@ def test_cli_import_does_not_load_scipy():
     assert out.stdout.strip() == "[]"
 
 
+CORE = {"bibeta", "bibeta.cli", "bibeta.families", "bibeta.serialize", "bibeta.special"}
+# subcommand -> (argv, the bibeta modules it may load, whether it may load concurrent.futures).
+# None of these runs loads scipy: only an exact cell does (test_exact_cells_load_scipy_special).
+SUBCOMMAND_MODULES = {
+    "tables": (["tables", "--table", "6"], CORE | {"bibeta.survivability"}, False),
+    "closure_check": (["closure-check", "--family", "an8", "--alphas", "1,2,3,0.5,1.5,2.5,0.7,1.2",
+                       "--which", "both"], CORE | {"bibeta.survivability"}, False),
+    "sample": (["sample", "--family", "an5", "--alphas", "5,5,5,5,1e-4", "--n", "100"],
+               CORE | {"bibeta.sampling"}, True),
+    "density": (["density", "--family", "an5", "--alphas", "5,5,5,5,1e-4", "--m", "10", "--mc-samples", "10000"],
+                CORE | {"bibeta.sampling", "bibeta.grids"}, True),
+    "posterior": (["posterior", "--prior-family", "ol-minus", "--prior-alphas", "10,2.5,5",
+                   "--data", "100,35,27,39", "--m", "20"],
+                  CORE | {"bibeta.sampling", "bibeta.grids", "bibeta.inference"}, False),
+    "posterior_synth": (["posterior", "--prior-family", "ol-minus", "--prior-alphas", "10,2.5,5",
+                         "--synth-n", "100", "--m", "20"],
+                        CORE | {"bibeta.sampling", "bibeta.grids", "bibeta.inference", "bibeta.synth"}, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMAND_MODULES))
+def test_subcommand_loads_only_its_modules(tmp_path, name):
+    """Each subcommand imports only the modules it runs: `tables` and `closure-check` load no
+    sampling, grids, inference or synth, and with them no thread pool and no scipy."""
+    argv, allowed, pool = SUBCOMMAND_MODULES[name]
+    src = os.path.dirname(os.path.dirname(bibeta.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys; from bibeta.cli import main; rc = main(sys.argv[1:]); "
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] in ('bibeta', 'scipy', 'concurrent')))"
+    )
+    done = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(tmp_path / "out")], env=env,
+                          capture_output=True, text=True, check=True)
+    rc, loaded = done.stdout.split(" ", 1)
+    loaded = set(ast.literal_eval(loaded))
+    assert rc == "0"
+    assert {m for m in loaded if m.startswith("bibeta")} <= allowed
+    assert not {m for m in loaded if m.startswith("scipy")}
+    assert any(m.startswith("concurrent") for m in loaded) == pool
+
+
+def test_package_names_resolve_on_first_use():
+    """`import bibeta` loads no submodule; a public name imports its own module, and the package's
+    `survivability` stays the function after its module is imported directly."""
+    src = os.path.dirname(os.path.dirname(bibeta.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, bibeta\n"
+        "print(sorted(m for m in sys.modules if m.startswith('bibeta.')))\n"
+        "from bibeta import BetaParams\n"
+        "print(sorted(m for m in sys.modules if m.startswith('bibeta.')))\n"
+        "import bibeta.survivability\n"
+        "from bibeta import survivability\n"
+        "print(callable(survivability), set(bibeta.__all__) <= set(dir(bibeta)))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == ["[]", "['bibeta.special']", "True True"]
+
+
 def test_cli_import_does_not_load_thread_pool():
     """concurrent.futures costs ~12 ms of CLI import; only block assembly loads it."""
     src = os.path.dirname(os.path.dirname(bibeta.__file__))
