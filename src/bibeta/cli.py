@@ -8,6 +8,7 @@ JSON error object on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import os
@@ -170,7 +171,7 @@ def _cmd_posterior(args: argparse.Namespace) -> None:
     _emit(marginal_csv(gp, "theta"), f"{out}.marginal_theta.csv")
     meta = _meta(args, ["m", "seed", "stream", "prior_family"])
     data = {
-        "data": {"n": d.n, "n1": d.n1, "k1": d.k1, "k2": d.k2},
+        "data": dataclasses.asdict(d),
         "mean_eta": summary.mean_eta,
         "mean_theta": summary.mean_theta,
         "mode_cell": list(summary.mode_cell),
@@ -204,7 +205,7 @@ def _closure_oracle(family: FamilySpec, flipped: FamilySpec, which: str) -> dict
     """
     from .survivability import Interdependent, SurvivabilityScenario, survivability
 
-    flip_x, flip_y = which in ("x", "both"), which in ("y", "both")
+    flip_x, flip_y = families._WHICH[which]
     f, g = (survivability(SurvivabilityScenario(Interdependent(s))) for s in (family, flipped))
     (fx, fy), (gx, gy) = f.component_survivability, g.component_survivability
     return {

@@ -227,7 +227,9 @@ def _cell_masses(family: FamilySpec, m: int) -> Optional[np.ndarray]:
         raise ValueError(f"exact cells of {family.label()} have an empty tau range [{tau_lo:g}, {tau_hi:g}]")
     h = min(0.5, (tau_hi - tau_lo) / 16)
     tau = np.arange(tau_lo, tau_hi + h, h)
-    acc, total, prev, nodes = np.zeros((m, m)), 0.0, None, 0
+    # three m x m buffers: the running sum, and the matmul scratch and last rule's grid, which swap; the
+    # last grid starts at +inf, so that the first rule never passes the stop test
+    acc, grid, prev, total, nodes = np.zeros((m, m)), np.empty((m, m)), np.full((m, m), np.inf), 0.0, 0
     while True:
         for lo in range(0, tau.size, _NODE_CHUNK):
             tk = tau[lo:lo + _NODE_CHUNK]
@@ -239,17 +241,17 @@ def _cell_masses(family: FamilySpec, m: int) -> Optional[np.ndarray]:
             d = t - math.log(a_s)
             with np.errstate(over="ignore", invalid="ignore"):
                 w = np.exp(-a_s * (np.expm1(d) - d) + np.logaddexp(0.0, _KNEE - tk))
-                acc += (x * w[:, None]).T @ y
+                acc += np.matmul((x * w[:, None]).T, y, out=grid)
             total += float(w.sum())
         nodes += tau.size
         if not 0.0 < total < math.inf:
             raise ValueError(f"exact cells of {family.label()} have a total node weight of {total:g}")
-        grid = acc / total
-        if prev is not None and 0.5 * float(np.abs(grid - prev).sum()) <= _CELL_TV_TOL:
+        np.divide(acc, total, out=grid)
+        if 0.5 * float(np.abs(np.subtract(grid, prev, out=prev), out=prev).sum()) <= _CELL_TV_TOL:
             return grid
         if 2 * nodes > _MAX_NODES:
             raise ValueError(f"exact cells of {family.label()} did not converge within {_MAX_NODES} nodes")
-        prev, h = grid, h / 2
+        prev, grid, h = grid, prev, h / 2
         tau = tau_lo + h + 2 * h * np.arange(nodes)  # the midpoints of the previous rule
 
 

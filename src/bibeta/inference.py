@@ -15,7 +15,7 @@ from Binomial(n - n1, theta) for k2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Tuple
 
@@ -103,7 +103,7 @@ class GridPosterior:
         prior, family = self.prior, self.prior.eta_theta_prior
         meta = {
             "m": self.m,
-            "data": {"n": self.data.n, "n1": self.data.n1, "k1": self.data.k1, "k2": self.data.k2},
+            "data": asdict(self.data),
             "prior_variant": family.variant,
             "prior_alphas": list(family.alphas),
             "pi_prior": [prior.pi_prior.a, prior.pi_prior.b],

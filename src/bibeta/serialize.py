@@ -5,17 +5,17 @@ one top-level object {"meta": ..., "data": ...} with sorted keys.  Identical
 inputs therefore serialize to identical bytes, which the CLI determinism
 contract and the regression tests rely on.
 
-Float arrays are written by numpy kernels, in slices of whole rows of at most
-2^14 cells for CSV and 2^12 for JSON, whose cells are wider: the temporaries
-stay small, the text is never built whole, and numpy releases the GIL, so
-threads that write CSV format at once.  A kernel finds each value's
-significant digits as an integer and its decimal exponent; one renderer turns
-them into text.  Each part of a value's text (sign and leading "0.000",
-digits with a place for the point after each, exponent) has a fixed place in
-NUL-padded 8-byte words: the digits are read four at a time from a
-10^4-entry ASCII table, the rest from tables per decimal exponent.  The
-separators follow, and bytes.translate strips the NULs.  The tables are built
-on first use.
+Float arrays are written by numpy kernels in slices of whole rows, at most
+2^14 cells for CSV and 2^12 for JSON (whose cells are wider) or one longer
+row; a 1-D array is a column, one value a row.  The temporaries stay small,
+the text is never built whole, and numpy releases the GIL, so threads that
+write CSV format at once.  A kernel finds each value's significant digits as
+an integer and its decimal exponent; one renderer turns them into text.  Each
+part of a value's text (sign and leading "0.000", digits with a place for the
+point after each, exponent) has a fixed place in NUL-padded 8-byte words: the
+digits are read four at a time from a 10^4-entry ASCII table, the rest from
+tables per decimal exponent.  The separators follow, and bytes.translate
+strips the NULs.  The tables are built on first use.
 
 CSV writes "%.12g" per cell: the fast path with an exact fallback of Loitsch
 (PLDI 2010).  Each value is scaled by exact powers of ten, at most 1e22 per
@@ -34,8 +34,9 @@ up, in 64x64-bit products built from 32-bit halves, and rounded to odd, which
 keeps enough of the exact products to compare them with the candidate
 decimals.  repr's layout is fixed for 1e-4 <= |x| < 1e16, with ".0" after
 integral values, and scientific with at least two exponent digits otherwise.
-Arrays are laid out as json.dumps(indent=2) lays out their nested lists;
-json_chunks yields a document's text a slice at a time, and json_text joins it.
+1-D and 2-D arrays are laid out as json.dumps(indent=2) lays out their lists,
+and float arrays of other shapes go through json.dumps; json_chunks yields a
+document's text a slice at a time, and json_text joins it.
 
 Only the smallest index box outside which every value is +0.0 is formatted;
 the literal zero text ("%.12g" % 0.0 or repr(0.0)) stands outside it.  A
@@ -67,20 +68,17 @@ def _cell(x: Any) -> str:
     return text
 
 
-def _box(a: np.ndarray) -> Tuple[Tuple[int, int], ...]:
-    """Per axis, the bounds lo, hi of the smallest box outside which every value of a is +0.0.
+def _box(a: np.ndarray) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """The rows r0, r1 and columns c0, c1 of the smallest box of the 2-D array a outside which every value is +0.0.
 
-    Every axis of an all-+0.0 or empty array has the empty bounds 0, 0.
+    Both axes of an all-+0.0 or empty array have the empty bounds 0, 0.
     """
     kept = (a != 0) | np.signbit(a)
-    bounds = []
-    for axis in range(a.ndim):
-        hit = np.flatnonzero(kept.any(axis=tuple(i for i in range(a.ndim) if i != axis)))
-        bounds.append((int(hit[0]), int(hit[-1]) + 1) if hit.size else (0, 0))
-    return tuple(bounds)
+    hits = (np.flatnonzero(kept.any(axis=1 - axis)) for axis in (0, 1))
+    return tuple((int(hit[0]), int(hit[-1]) + 1) if hit.size else (0, 0) for hit in hits)
 
 
-_SLICE = 1 << 14  # cells per slice: whole rows, unless one row has more
+_SLICE = 1 << 14  # cells per slice of whole rows; a longer row is one slice
 _JSON_SLICE = 1 << 12  # the same for JSON, whose cells are wider and whose kernel keeps more temporaries
 _E0 = 330  # offset of the decimal exponent e in the per-exponent tables, which cover -330..330
 _WORD = np.dtype("<u8")  # 8 bytes of text in order
@@ -329,16 +327,16 @@ def _cells(x: np.ndarray, places: int, digits: Callable, fallback: Callable[[Lis
     return out
 
 
-def _slices(a: np.ndarray, box: Tuple[Tuple[int, int], ...], size: int, zero: str, sep: str, head: str,
-            tail: str, write: Callable[[np.ndarray, int, int], np.ndarray]) -> Iterator[str]:
-    """The rows of the 2-D float array a, each but the last followed by sep, in strings of at most size cells.
+def _slices(a: np.ndarray, box: Tuple[Tuple[int, int], Tuple[int, int]], size: int, zero: str, sep: str,
+            head: str, tail: str, write: Callable[[np.ndarray], np.ndarray]) -> Iterator[str]:
+    """The rows of the 2-D float array a, each but the last followed by sep, in strings of whole rows of at
+    most size cells, or of one row if it has more.
 
-    A row outside the box is the text zero.  A row of the box is head, the words that write(block, j, j1)
-    gives for the block of its cells in columns j to j1 of the box, and tail.  The box is written in
-    slices of whole rows, or of one row's cells if a row has more than size.
+    A row outside the box is the text zero.  A row of the box is head, the words that write(block) gives
+    for the block of its cells in the box's columns, and tail.
     """
     rows, cols = a.shape
-    (r0, r1), (c0, c1) = box if box[1][1] > box[1][0] else ((0, 0), (0, 0))
+    (r0, r1), (c0, c1) = box
     step = max(1, size // max(cols, 1))
 
     def blank(lo: int, hi: int) -> Iterator[str]:
@@ -350,19 +348,14 @@ def _slices(a: np.ndarray, box: Tuple[Tuple[int, int], ...], size: int, zero: st
     head_words = _words(head)
     # the last row has no separator after it; both tails are padded to one width
     tails = np.stack([_words(text.ljust(len(tail + sep), "\0")) for text in (tail + sep, tail)])
-    width = min(c1 - c0, size)
-    box_step = max(1, size // max(width, 1))
+    box_step = max(1, size // max(c1 - c0, 1))
     for i in range(r0, r1, box_step):
         i1 = min(i + box_step, r1)
-        for j in range(c0, c1, width):
-            j1 = min(j + width, c1)
-            words = [write(a[i:i1, j:j1], j, j1).reshape(i1 - i, -1)]
-            if j == c0 and head_words.size:
-                words.insert(0, np.broadcast_to(head_words, (i1 - i, head_words.size)))
-            if j1 == c1 and tails.size:
-                words.append(tails[(np.arange(i, i1) == rows - 1).astype(np.intp)])
-            words = np.hstack(words) if len(words) > 1 else words[0]
-            yield words.tobytes().translate(None, b"\0").decode("ascii")
+        words = [np.broadcast_to(head_words, (i1 - i, head_words.size)), write(a[i:i1, c0:c1]).reshape(i1 - i, -1),
+                 tails[(np.arange(i, i1) == rows - 1).astype(np.intp)]]
+        words = [w for w in words if w.size]
+        words = np.hstack(words) if len(words) > 1 else words[0]
+        yield words.tobytes().translate(None, b"\0").decode("ascii")
     yield from blank(r1, rows)
 
 
@@ -371,7 +364,7 @@ def _g12_texts(values: List[float]) -> List[str]:
 
 
 def _csv_slices(a: np.ndarray) -> Iterator[str]:
-    """The CSV lines of a 2-D float array, in strings of whole rows of at most _SLICE cells unless a row has more."""
+    """The CSV lines of a 2-D float array, in strings of whole rows of at most _SLICE cells, or of one longer row."""
     cols = a.shape[1]
     box = _box(a)
     (c0, c1), zero = box[1], "%.12g" % 0.0
@@ -381,7 +374,7 @@ def _csv_slices(a: np.ndarray) -> Iterator[str]:
         sep[-1] = _words("\0" * 7 + "\n")[0]
     tail = ",".join([zero] * (cols - c1)) + "\n" if c1 < cols else ""
     return _slices(a, box, _SLICE, ",".join([zero] * cols) + "\n", "", (zero + ",") * c0, tail,
-                   lambda block, j, j1: _cells(block, _G12, _g12_digits, _g12_texts, sep[j - c0:j1 - c0]))
+                   lambda block: _cells(block, _G12, _g12_digits, _g12_texts, sep))
 
 
 def csv_rows(a: np.ndarray) -> str:
@@ -406,58 +399,33 @@ def _json_texts(values: List[float]) -> List[str]:
     return [json.dumps(v) for v in values]
 
 
-def _json_zeros(shape: Tuple[int, ...], depth: int) -> str:
-    """The text of an all-+0.0 array of this shape at this nesting depth."""
-    text = repr(0.0)
-    for level in range(len(shape) - 1, -1, -1):
-        pad = "\n" + "  " * (depth + level + 1)
-        text = f"[{pad}{(',' + pad).join([text] * shape[level])}{pad[:-2]}]" if shape[level] else "[]"
-    return text
+def _json_array(a: np.ndarray, depth: int) -> Iterator[str]:
+    """A 1-D or 2-D float array with a value, as json.dumps(indent=2) writes its list at this depth.
 
+    A 2-D array's rows are lists; a 1-D array is written as the rows of a[:, None], one value a row.
+    """
+    pad, z = "\n" + "  " * (depth + 1), repr(0.0)
+    if a.ndim == 1:
+        a, start, end, cell_sep = a[:, None], "", "", ""
+    else:
+        start, end, cell_sep = "[" + pad + "  ", pad + "]", "," + pad + "  "
+    cols, box, after = a.shape[1], _box(a), _words(cell_sep)
+    c0, c1 = box[1]
 
-def _json_rows(a: np.ndarray, box: Tuple[Tuple[int, int], ...], depth: int, sep: str) -> Iterator[str]:
-    """The rows of the 2-D float array a, each a list at this depth, joined by sep, in slices of at most
-    _JSON_SLICE cells."""
-    cols = a.shape[1]
-    (c0, c1), z, pad = box[1], repr(0.0), "\n" + "  " * (depth + 1)
-    cell_sep = _words("," + pad)
-
-    def write(block: np.ndarray, j: int, j1: int) -> np.ndarray:
-        cells = _cells(block, _REPR, _repr_digits, _json_texts, after=cell_sep)
-        if j1 == cols:
-            cells[:, -1, -cell_sep.size:] = 0  # the row's last value: its tail follows
+    def write(block: np.ndarray) -> np.ndarray:
+        cells = _cells(block, _REPR, _repr_digits, _json_texts, after=after)
+        cells[:, -1, cells.shape[-1] - after.size:] = 0  # the box's last value: the row's tail follows
         return cells
 
-    tail = ((z + "," + pad) * (cols - c1 - 1) + z if c1 < cols else "") + pad[:-2] + "]"
-    return _slices(a, box, _JSON_SLICE, _json_zeros((cols,), depth), sep, "[" + pad + (z + "," + pad) * c0, tail,
-                   write)
-
-
-def _json_nested(a: np.ndarray, box: Tuple[Tuple[int, int], ...], depth: int) -> Iterator[str]:
-    """A float array with at least one axis and one value, as json.dumps(indent=2) writes its nested lists."""
-    if a.ndim == 1:
-        yield from _json_rows(a[None], ((0, 1),) + box, depth, "")
-        return
-    pad = "\n" + "  " * (depth + 1)
     yield "[" + pad
-    if a.ndim == 2:
-        yield from _json_rows(a, box, depth + 1, "," + pad)
-    else:
-        (lo, hi), n = box[0], len(a)
-        zero = _json_zeros(a.shape[1:], depth + 1) if (lo, hi) != (0, n) else ""
-        for i in range(n):
-            if i:
-                yield "," + pad
-            if lo <= i < hi:
-                yield from _json_nested(a[i], box[1:], depth + 1)
-            else:
-                yield zero
+    yield from _slices(a, box, _JSON_SLICE, start + cell_sep.join([z] * cols) + end, "," + pad,
+                       start + (z + cell_sep) * c0, (cell_sep + z) * (cols - c1) + end, write)
     yield pad[:-2] + "]"
 
 
 def _json_value(value: Any, depth: int) -> Iterator[str]:
-    if isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim and value.size:
-        yield from _json_nested(value, _box(value), depth)
+    if isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim in (1, 2) and value.size:
+        yield from _json_array(value, depth)
     elif isinstance(value, Mapping) and value:
         pad = "\n" + "  " * (depth + 1)
         for i, key in enumerate(sorted(value)):

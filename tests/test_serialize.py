@@ -255,6 +255,21 @@ def test_long_row_is_written_in_slices():
     assert max(c.count(",") for c in chunks) <= _JSON_SLICE
 
 
+def test_rows_longer_than_a_slice_are_one_string_each():
+    """A 2-D row of more than one slice of cells is written whole, one row per string: the oracle's bytes."""
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((2, _SLICE + 5))
+    header = [f"c{j}" for j in range(a.shape[1])]
+    assert list(csv_chunks(header, a)) == oracle.csv_text(header, a.tolist()).splitlines(keepends=True)
+    a = rng.standard_normal((3, _JSON_SLICE + 5))
+    chunks = list(json_chunks(META, {"a": a}))
+    assert "".join(chunks) == oracle.json_text(META, {"a": a.tolist()})
+    cols = a.shape[1]
+    rows = [c for c in chunks if c.count(",") >= cols - 1]
+    # each row's values and, but for the last row, the separator after it
+    assert [(c.count("["), c.count("]"), c.count(",")) for c in rows] == [(1, 1, cols), (1, 1, cols), (1, 1, cols - 1)]
+
+
 def test_posterior_json_goes_through_the_fallback_for_almost_no_value(monkeypatch):
     """On the m=1000 OL-(10,2.5,5) posterior at n=10^4, fewer than 1% of the box's values are written
     one at a time: the kernel leaves only NaN and +-inf to json.dumps."""
