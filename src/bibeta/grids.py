@@ -9,10 +9,10 @@ times m^2: exact (_cell_masses) where at most one live gamma component is
 on both axes, else Monte Carlo histograms scaled by m^2 / n_samples.
 
 The histogram (_histogram, which density_grid and a posterior's prior
-both call) is numpy's 2-D histogram on m equal bins of [0, 1], count for
-count: each chunk of pairs is given an exact cell index (floor(c m),
-corrected once against the same np.linspace edges) as it is assembled and
-added under a lock to one table of counts, the same in any order.
+both call) puts a coordinate c in bin min(floor(fl(c m)), m - 1) of [0, 1]
+and drops pairs with a NaN, as numpy's 2-D histogram does but for values
+within a rounding of its edges.  Each chunk of pairs is binned as it is
+assembled and added under a lock to one table of counts, in any order.
 density_grid and log_prior_cells (a posterior's prior) read every exact
 grid, and log_prior_cells its histograms too, in log form with its largest
 value, from one read-only cache, _log_cells.
@@ -41,29 +41,13 @@ def grid_midpoints(m: int) -> np.ndarray:
     return (np.arange(m) + 0.5) / m
 
 
-def _cell_index(c: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """The bin k of each c in [0, 1] with edges[k] <= c < edges[k+1]; 1.0 falls in the last bin.
-
-    floor(c m) is at most one bin off that comparison, so one correction
-    each way makes it the bin a search of the edges finds.
-    """
-    m = edges.size - 1
-    k = np.clip(np.floor(c * m), 0, m - 1).astype(np.intp)
-    k -= c < edges[k]
-    k += (c >= edges[k + 1]) & (k < m - 1)
-    return k
-
-
-def _flat_cells(x: np.ndarray, y: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Flat row-major cells, one per pair, of numpy's 2-D histogram of (x, y) on these edges over [0, 1]^2.
-
-    Pairs with a NaN or a coordinate outside [0, 1] are dropped, as numpy drops them.
-    """
-    m = edges.size - 1
-    inside = (x >= 0.0) & (x <= 1.0) & (y >= 0.0) & (y <= 1.0)
-    if not inside.all():
-        x, y = x[inside], y[inside]
-    return _cell_index(x, edges) * m + _cell_index(y, edges)
+def _pair_cells(x: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
+    """Flat row-major cells of pairs, each axis at min(floor(fl(c m)), m - 1), dropping pairs with a NaN."""
+    # a sampled coordinate N/(N+D), with finite N, D >= 0, is in [0, 1] or the NaN of 0/0, which is in no
+    # cell; it is dropped before the integer cast, where it would warn
+    flat = np.minimum(np.floor(x * m), m - 1) * m + np.minimum(np.floor(y * m), m - 1)  # exact below 2^53
+    nan = np.isnan(flat)
+    return (flat[~nan] if nan.any() else flat).astype(np.intp)
 
 
 @dataclass(frozen=True)
@@ -109,7 +93,7 @@ class DensityGrid:
 
 
 def _histogram(family: FamilySpec, m: int, n_samples: int, rng: Optional[RngState]) -> np.ndarray:
-    """numpy's 2-D histogram of n_samples draws on m equal bins of [0, 1], times m^2 / n_samples."""
+    """Counts of n_samples draws in the m x m cells of _pair_cells (NaN pairs in none), times m^2 / n_samples."""
     if n_samples < MIN_ESTIMATED_SAMPLES:
         raise ValueError(
             f"{family.variant} needs n_samples >= {MIN_ESTIMATED_SAMPLES} "
@@ -117,12 +101,11 @@ def _histogram(family: FamilySpec, m: int, n_samples: int, rng: Optional[RngStat
         )
     if rng is None:
         raise ValueError(f"a {family.variant} histogram density needs an RngState")
-    edges = np.linspace(0.0, 1.0, m + 1)
     counts, lock = np.zeros(m * m, np.intp), threading.Lock()
 
     def add(lo: int, chunks: Chunks) -> None:
         for x, y in chunks:
-            flat = _flat_cells(x, y, edges)
+            flat = _pair_cells(x, y, m)
             with lock:
                 np.add.at(counts, flat, 1)
 
@@ -142,8 +125,9 @@ def density_grid(
     Closed forms (density at the midpoints) and AN5/AN8 vectors with exact
     cells (cell probability times m^2) ignore n_samples and rng
     (estimated=False, n_samples=0).  Other AN5/AN8 vectors need at least
-    10^4 samples and an RngState; their histogram bins n_samples draws, so
-    it estimates the same cell probabilities with no smoothing bandwidth.
+    10^4 samples and an RngState; their histogram bins n_samples draws at
+    min(floor(c m), m - 1) on each axis, dropping pairs with a NaN, so it
+    estimates the same cell probabilities with no smoothing bandwidth.
     """
     if m < 2:
         raise ValueError(f"grid resolution m must be >= 2, got {m}")

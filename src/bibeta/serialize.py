@@ -73,6 +73,8 @@ def _box(a: np.ndarray) -> Tuple[Tuple[int, int], Tuple[int, int]]:
 
     Both axes of an all-+0.0 or empty array have the empty bounds 0, 0.
     """
+    if a.size and np.count_nonzero(a) == a.size:  # no +0.0 nor -0.0: the box is the whole array
+        return (0, a.shape[0]), (0, a.shape[1])
     kept = (a != 0) | np.signbit(a)
     hits = (np.flatnonzero(kept.any(axis=1 - axis)) for axis in (0, 1))
     return tuple((int(hit[0]), int(hit[-1]) + 1) if hit.size else (0, 0) for hit in hits)

@@ -1,16 +1,22 @@
 """CLI behavior: reproducible bytes, validation errors, file outputs."""
 
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bibeta import cli, grids, inference
+from bibeta import cli, families, grids, inference
 from bibeta.cli import main
 from bibeta.sampling import BLOCK
 
@@ -722,6 +728,16 @@ GOLDEN_RUNS = {
         "tables --table 6",
         "76f906e0431a689e602f0786b14e245f8aa587c4524391727a7a405488b1025e",
     ),
+    # AN5 and AN8 histograms at benchmark scale, 10^6 pairs; the two *_an5_histogram runs bin 10^5
+    "posterior_an5_histogram_1e6": (
+        "posterior --prior-family an5 --prior-alphas 5,5,5,5,1e-4 --data 100,35,28,50 --m 100 "
+        "--mc-samples 1000000 --seed 7",
+        "70f769571104141a27936368d0e087e6b10eeb3613cc94dbb90f500b8e0ff1db",
+    ),
+    "density_an8_histogram_1e6": (
+        "density --family an8 --alphas 1,2,3,0.5,1.5,2.5,0.7,1.2 --m 300 --mc-samples 1000000 --seed 3 --format json",
+        "170f9e16855db147dad5c17e90b36a3dc310972800254be686300136f7b5b9bf",
+    ),
     "closure_check_ol_star": (
         "closure-check --family ol-star --alphas 2,5,0.5 --which x",
         "001d1272dc6da8e16776af15ae95afe699619020fc8186ee2aa5f1aca3faa296",
@@ -747,3 +763,67 @@ class TestGoldenBytes:
     def test_output_digest(self, capsys, tmp_path, name):
         argv, digest = GOLDEN_RUNS[name]
         assert hashlib.sha256(golden_output(capsys, tmp_path, argv)).hexdigest() == digest
+
+
+SHAPE_SCALES = (1e-4, 1.0, 1e6, 1e12)
+
+
+@st.composite
+def regime_argv(draw):
+    """A sample, density or posterior run: any variant, each shape at one of SHAPE_SCALES (or 0 in AN5/AN8
+    slots), posterior n of 0, 10^2 or 10^8 with any split, and m of 10 or 37."""
+    variant = draw(st.sampled_from(sorted(families.VARIANTS)))
+    scales = SHAPE_SCALES + ((0.0,) if variant in ("an5", "an8") else ())
+    k = len(families.STRUCTURE[variant])
+    alphas = ",".join(f"{a:g}" for a in draw(st.lists(st.sampled_from(scales), min_size=k, max_size=k)))
+    command = draw(st.sampled_from(["sample", "density", "posterior"]))
+    if command == "sample":
+        return ["sample", "--family", variant, "--alphas", alphas, "--n", "300",
+                "--format", draw(st.sampled_from(["csv", "json"]))]
+    grid = ["--m", str(draw(st.sampled_from([10, 37]))), "--mc-samples", "10000"]
+    if command == "density":
+        return ["density", "--family", variant, "--alphas", alphas, *grid,
+                "--format", draw(st.sampled_from(["csv", "json"]))]
+    n = draw(st.sampled_from([0, 10**2, 10**8]))
+    share = st.sampled_from([0, 1, 35, 99, 100])  # percent
+    n1 = n * draw(share) // 100
+    data = [n, n1, n1 * draw(share) // 100, (n - n1) * draw(share) // 100]
+    return ["posterior", "--prior-family", variant, "--prior-alphas", alphas, *grid,
+            "--data", ",".join(map(str, data))]
+
+
+def numbers_in(text: str) -> list:
+    """The numbers of a JSON document (NaN and the infinities as nan), or the cells of a CSV text that float reads."""
+    numbers = []
+    if text.startswith("{"):
+        json.loads(text, parse_float=lambda v: numbers.append(float(v)),
+                   parse_constant=lambda v: numbers.append(math.nan))
+        return numbers
+    for cell in text.replace("\n", ",").split(","):
+        try:
+            numbers.append(float(cell))
+        except ValueError:  # a header name, or the empty text after the last newline
+            pass
+    return numbers
+
+
+class TestRegimeMatrix:
+    """Runs over every variant and extreme shape, data size and grid either write only finite numbers
+    or exit 2 with one JSON line on stderr: never a traceback, never a NaN or an infinity in a file."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(argv=regime_argv())
+    def test_runs_write_finite_numbers_or_one_json_error(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main(argv + ["--seed", "5", "--out", os.path.join(tmp, "out")])
+            if rc == 2:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
+                return
+            assert rc == 0 and err.getvalue() == ""
+            for name in sorted(os.listdir(tmp)):
+                with open(os.path.join(tmp, name)) as fh:
+                    numbers = numbers_in(fh.read())
+                assert numbers and all(map(math.isfinite, numbers)), name

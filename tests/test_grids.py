@@ -1,6 +1,7 @@
 """Density grids: exact midpoint evaluation, exact cell probabilities, histogram estimation, serialization."""
 
 import json
+import math
 import re
 import tracemalloc
 import warnings
@@ -13,7 +14,7 @@ from scipy import special as sp_special
 
 from bibeta import families, grids, sampling
 from bibeta.families import FamilySpec, an8_embedding, closed_form_logpdf
-from bibeta.grids import DensityGrid, _flat_cells, density_grid, grid_midpoints
+from bibeta.grids import DensityGrid, density_grid, grid_midpoints
 from bibeta.sampling import RngState, sample_pairs
 from bibeta.special import BetaParams
 
@@ -147,41 +148,45 @@ def histogram2d_counts(x, y, m):
 
 
 def hard_values(m):
-    """0, 1, every bin edge and its +-1 ulp neighbours, NaN, infinities and values outside [0, 1]."""
+    """0, 1, every bin edge and its +-1 ulp neighbours inside [0, 1], and NaN."""
     edges = np.linspace(0.0, 1.0, m + 1)
-    odd = [np.nan, -0.0, -0.5, 1.5, np.inf, -np.inf, -5e-324, 1.0 + 2**-52]
-    return np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), odd])
+    near = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    return np.append(near[(near >= 0.0) & (near <= 1.0)], np.nan)
 
 
-def flat_counts(x, y, edges):
-    m = edges.size - 1
-    return np.bincount(_flat_cells(x, y, edges), minlength=m * m).reshape(m, m)
+def pair_counts(x, y, m):
+    return np.bincount(grids._pair_cells(x, y, m), minlength=m * m).reshape(m, m)
+
+
+def assert_floor_rule(x, y, m):
+    """_pair_cells puts each coordinate c in bin min(floor(fl(c m)), m - 1), in order, drops the pairs with
+    a NaN, and counts as np.histogram2d does the pairs whose coordinates lie more than 4 ulps from every edge."""
+    pairs = [(a, b) for a, b in zip(x.tolist(), y.tolist()) if not (math.isnan(a) or math.isnan(b))]
+    floor_rule = [min(math.floor(a * m), m - 1) * m + min(math.floor(b * m), m - 1) for a, b in pairs]
+    assert grids._pair_cells(x, y, m).tolist() == floor_rule
+    edges = np.linspace(0.0, 1.0, m + 1)
+    far = np.logical_and(*((np.abs(c[:, None] - edges) > 4 * np.spacing(edges)).all(axis=1) for c in (x, y)))
+    assert np.array_equal(pair_counts(x[far], y[far], m), histogram2d_counts(x[far], y[far], m))
 
 
 class TestExactBinning:
-    """Counting _flat_cells is np.histogram2d on m equal bins of [0, 1], count for count."""
+    """Each axis of a histogram cell is min(floor(fl(c m)), m - 1): np.histogram2d's bin on m equal bins of
+    [0, 1] but within a rounding of an edge, where numpy compares with its np.linspace edges."""
 
     @pytest.mark.parametrize("m", BIN_COUNTS)
     def test_every_edge_and_neighbour(self, m):
         values = hard_values(m)
-        edges = np.linspace(0.0, 1.0, m + 1)
         shuffled = np.random.default_rng(m).permutation(values)
         for x, y in ((values, shuffled), (shuffled, values), (values, np.full(values.size, 0.5))):
-            got = flat_counts(x, y, edges)
-            assert np.array_equal(got, histogram2d_counts(x, y, m))
+            assert_floor_rule(x, y, m)
 
     @settings(max_examples=100, deadline=None)
-    @given(m=st.sampled_from(BIN_COUNTS), data=st.data())
-    def test_matches_histogram2d(self, m, data):
-        value = st.one_of(
-            st.sampled_from(hard_values(m).tolist()),
-            st.floats(min_value=-0.25, max_value=1.25),
-        )
-        x = data.draw(st.lists(value, min_size=0, max_size=60))
+    @given(m=st.one_of(st.sampled_from(BIN_COUNTS), st.integers(2, 2000)), data=st.data())
+    def test_floor_rule(self, m, data):
+        value = st.one_of(st.sampled_from(hard_values(m).tolist()), st.floats(min_value=0.0, max_value=1.0))
+        x = data.draw(st.lists(value, max_size=60))
         y = data.draw(st.lists(value, min_size=len(x), max_size=len(x)))
-        x, y = np.array(x, dtype=float), np.array(y, dtype=float)
-        got = flat_counts(x, y, np.linspace(0.0, 1.0, m + 1))
-        assert np.array_equal(got, histogram2d_counts(x, y, m))
+        assert_floor_rule(np.array(x, dtype=float), np.array(y, dtype=float), m)
 
     @pytest.mark.parametrize("m", [2, 37])
     def test_grid_is_histogram2d_of_the_sampled_pairs(self, monkeypatch, m):
@@ -232,9 +237,8 @@ def ol_cell_oracle(alphas, flip, m: int) -> np.ndarray:
 
 def histogram_cells(family: FamilySpec, m: int, n: int, seed: int) -> np.ndarray:
     """Counts of n sampled pairs on the m x m grid, binned chunk by chunk as they are drawn."""
-    edges = np.linspace(0.0, 1.0, m + 1)
     blocks = sampling.pair_blocks(RngState(seed), family, n,
-                                  lambda lo, chunks: sum(flat_counts(x, y, edges) for x, y in chunks))
+                                  lambda lo, chunks: sum(pair_counts(x, y, m) for x, y in chunks))
     return sum(blocks)
 
 
