@@ -94,13 +94,13 @@ def _cmd_sample(args: argparse.Namespace) -> None:
         raise ValueError(f"--n must be >= 0, got {args.n}")
     rng = RngState(args.seed, args.stream)
     if args.format == "csv":
-        # each block is formatted chunk by chunk on its worker and written in
-        # block order, so no array or string of n pairs is ever built
-        blocks = pair_blocks(rng, family, args.n, lambda lo, chunks: [csv_rows(np.column_stack(c)) for c in chunks])
+        # each chunk is formatted on the worker that drew it and written in
+        # pair order, so no array or string of n pairs is ever built
+        rows = pair_blocks(rng, family, args.n, lambda lo, x, y: csv_rows(np.column_stack((x, y))))
         try:
-            _emit(itertools.chain(["x,y\n"], itertools.chain.from_iterable(blocks)), args.out)
+            _emit(itertools.chain(["x,y\n"], rows), args.out)
         finally:
-            blocks.close()  # after a write error, cancels the blocks not yet started
+            rows.close()  # after a write error, cancels the blocks not yet started
     else:
         x, y = sample_pairs(rng, family, args.n)
         meta = _meta(args, ["family", "alphas", "n", "seed", "stream"])

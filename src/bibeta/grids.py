@@ -11,8 +11,8 @@ on both axes, else Monte Carlo histograms scaled by m^2 / n_samples.
 The histogram (_histogram, which density_grid and a posterior's prior
 both call) puts a coordinate c in bin min(floor(fl(c m)), m - 1) of [0, 1]
 and drops pairs with a NaN, as numpy's 2-D histogram does but for values
-within a rounding of its edges.  Each chunk of pairs is binned as it is
-assembled and added under a lock to one table of counts, in any order.
+within a rounding of its edges.  Each worker bins a chunk of pairs as it
+draws it and adds it under a lock to one table of counts, in any order.
 density_grid and log_prior_cells (a posterior's prior) read every exact
 grid, and log_prior_cells its histograms too, in log form with its largest
 value, from one read-only cache, _log_cells.
@@ -29,7 +29,7 @@ from typing import Iterator, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .families import FamilySpec, closed_form_logpdf, marginal_params, ratio_axes
-from .sampling import Chunks, RngState, pair_blocks
+from .sampling import RngState, pair_blocks
 from .serialize import csv_chunks, json_chunks
 
 MIN_ESTIMATED_SAMPLES = 10_000
@@ -93,7 +93,7 @@ class DensityGrid:
 
 
 def _histogram(family: FamilySpec, m: int, n_samples: int, rng: Optional[RngState]) -> np.ndarray:
-    """Counts of n_samples draws in the m x m cells of _pair_cells (NaN pairs in none), times m^2 / n_samples."""
+    """Counts of n_samples draws, each chunk binned (_pair_cells) by the worker that drew it, times m^2 / n_samples."""
     if n_samples < MIN_ESTIMATED_SAMPLES:
         raise ValueError(
             f"{family.variant} needs n_samples >= {MIN_ESTIMATED_SAMPLES} "
@@ -103,11 +103,10 @@ def _histogram(family: FamilySpec, m: int, n_samples: int, rng: Optional[RngStat
         raise ValueError(f"a {family.variant} histogram density needs an RngState")
     counts, lock = np.zeros(m * m, np.intp), threading.Lock()
 
-    def add(lo: int, chunks: Chunks) -> None:
-        for x, y in chunks:
-            flat = _pair_cells(x, y, m)
-            with lock:
-                np.add.at(counts, flat, 1)
+    def add(lo: int, x: np.ndarray, y: np.ndarray) -> None:
+        flat = _pair_cells(x, y, m)
+        with lock:
+            np.add.at(counts, flat, 1)
 
     for _ in pair_blocks(rng, family, n_samples, add):
         pass

@@ -12,14 +12,16 @@ the block's index, so the bytes do not depend on the number of cores.  A
 shape below LOG_SPACE_SHAPE is drawn through the boost identity from two
 streams: its uniforms from that key, its Gamma(s+1) draws from
 (stream, call_key, j, k, 1).  BLOCK is part of the stream definition, not a
-tuning knob.  Inside a block the pairs are drawn, assembled and consumed
-CHUNK at a time, which only sizes a worker's working set: O(CHUNK) floats.
-numpy fills a draw one variate at a time and every stream is consumed in
-order, so any CHUNK gives the same bytes.
+tuning knob.  Inside a block the pairs are drawn and assembled CHUNK at a
+time, and the worker hands each chunk to the consumer before it draws the
+next; CHUNK only sizes a worker's working set: O(CHUNK) floats.  numpy
+fills a draw one variate at a time and every stream is consumed in order,
+so any CHUNK gives the same bytes.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field
 from functools import reduce
@@ -127,20 +129,19 @@ def _ratio(num: list, rest: list, log_path: bool) -> np.ndarray:
     return np.divide(top, c, out=c)
 
 
-Chunks = Iterator[Tuple[np.ndarray, np.ndarray]]
-
-
-def pair_blocks(rng: RngState, family: FamilySpec, n: int, consume: Callable[[int, Chunks], T]) -> Iterator[T]:
-    """consume(lo, chunks) for each block of n draws from pair lo on, in block order.
+def pair_blocks(rng: RngState, family: FamilySpec, n: int,
+                each: Callable[[int, np.ndarray, np.ndarray], T]) -> Iterator[T]:
+    """each(lo, x, y) for every chunk of n draws, lo the chunk's first pair, yielded in pair order.
 
     Each block is a task on a worker thread that reads the sub-streams laid
-    out above.  chunks yields the block's pairs in order as (x, y) arrays of
-    at most CHUNK pairs, each drawn and assembled (_ratio) when consume asks
-    for it.  Shapes below LOG_SPACE_SHAPE go through the boost identity
-    (_boosted).  The ratios are assembled from logs only where some axis's
-    numerator or rest has no other shape, as its sum could underflow to 0
-    (B(1e-4, 1e-4) would read 0/0), else from the exponentiated draws.  A
-    zero shape draws nothing (families.ratio_axes leaves it out).
+    out above and calls each on its chunks, (x, y) arrays of at most CHUNK
+    pairs, in order as it assembles them (_ratio).  Shapes below
+    LOG_SPACE_SHAPE go through the boost identity (_boosted).  The ratios
+    are assembled from logs only where some axis's numerator or rest has no
+    other shape, as its sum could underflow to 0 (B(1e-4, 1e-4) would read
+    0/0), else from the exponentiated draws.  A zero shape draws nothing
+    (families.ratio_axes leaves it out).  Closing the iterator cancels the
+    blocks not yet started.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -150,8 +151,8 @@ def pair_blocks(rng: RngState, family: FamilySpec, n: int, consume: Callable[[in
     log_path = any(all(shapes[i] < LOG_SPACE_SHAPE for i in side) for ax in axes for side in ax)
     call_key = int(rng.generator.integers(1 << 63))
 
-    def chunks(lo: int, hi: int) -> Chunks:
-        k = lo // BLOCK
+    def block(lo: int) -> list:
+        k, hi, out = lo // BLOCK, min(lo + BLOCK, n), []
         gens = {i: rng.child(call_key, j, k) for j, i in enumerate(live)}
         boosts = {i: rng.child(call_key, j, k, 1) for j, i in enumerate(live) if shapes[i] < LOG_SPACE_SHAPE}
         for start in range(lo, hi, CHUNK):
@@ -165,14 +166,13 @@ def pair_blocks(rng: RngState, family: FamilySpec, n: int, consume: Callable[[in
                         _log_in_place(g)
                 draws[i] = g
             x, y = (_ratio([draws[i] for i in num], [draws[i] for i in rest], log_path) for num, rest in axes)
-            del draws, g  # only the two coordinates stay alive while consume runs
-            yield x, y
-
-    def block(lo: int) -> T:
-        return consume(lo, chunks(lo, min(lo + BLOCK, n)))
+            del draws, g  # only the two coordinates stay alive while each runs
+            out.append(each(start, x, y))
+        return out
 
     with ThreadPoolExecutor(max(1, min(MAX_WORKERS, _usable_cores(), -(-n // BLOCK)))) as pool:
-        yield from pool.map(block, range(0, n, BLOCK))
+        # chain drops each block's results before it waits for the next block
+        yield from itertools.chain.from_iterable(pool.map(block, range(0, n, BLOCK)))
 
 
 def sample_pairs(rng: RngState, family: FamilySpec, n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -181,11 +181,8 @@ def sample_pairs(rng: RngState, family: FamilySpec, n: int) -> Tuple[np.ndarray,
         raise ValueError(f"n must be >= 0, got {n}")
     x, y = np.empty(n), np.empty(n)
 
-    def write(lo: int, chunks: Chunks) -> None:
-        for bx, by in chunks:
-            x[lo:lo + bx.size] = bx
-            y[lo:lo + bx.size] = by
-            lo += bx.size
+    def write(lo: int, bx: np.ndarray, by: np.ndarray) -> None:
+        x[lo:lo + bx.size], y[lo:lo + by.size] = bx, by
 
     for _ in pair_blocks(rng, family, n, write):
         pass

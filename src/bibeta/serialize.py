@@ -81,7 +81,9 @@ def _box(a: np.ndarray) -> Tuple[Tuple[int, int], Tuple[int, int]]:
 
 
 _SLICE = 1 << 14  # cells per slice of whole rows; a longer row is one slice
-_JSON_SLICE = 1 << 12  # the same for JSON, whose cells are wider and whose kernel keeps more temporaries
+# the same for JSON, whose cells are wider and whose kernel keeps more temporaries.  A 1-D array is a column, one
+# value a row: at 1 << 14, `sample --format json --n 1000000` took 1.09 s, not 0.94, and 57.1 MB, not 54.2 (2 cores)
+_JSON_SLICE = 1 << 12
 _E0 = 330  # offset of the decimal exponent e in the per-exponent tables, which cover -330..330
 _WORD = np.dtype("<u8")  # 8 bytes of text in order
 _TENS = np.array([float(f"1e{k}") for k in range(23)])  # [k] 10^k, exact for k <= 22

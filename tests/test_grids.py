@@ -237,9 +237,7 @@ def ol_cell_oracle(alphas, flip, m: int) -> np.ndarray:
 
 def histogram_cells(family: FamilySpec, m: int, n: int, seed: int) -> np.ndarray:
     """Counts of n sampled pairs on the m x m grid, binned chunk by chunk as they are drawn."""
-    blocks = sampling.pair_blocks(RngState(seed), family, n,
-                                  lambda lo, chunks: sum(pair_counts(x, y, m) for x, y in chunks))
-    return sum(blocks)
+    return sum(sampling.pair_blocks(RngState(seed), family, n, lambda lo, x, y: pair_counts(x, y, m)))
 
 
 OL_EMBEDDINGS = [

@@ -9,6 +9,7 @@ import concurrent.futures
 import math
 import os
 import sys
+import threading
 import tracemalloc
 import warnings
 from functools import reduce
@@ -645,6 +646,33 @@ class TestChunks:
             runs.append([c.tobytes() for c in sample_pairs(RngState(91), family, n)])
         assert runs[0] == runs[1]
 
+    TINY_CHUNK, TINY_BLOCK = 7, 4 * 7 + 3  # a block ends mid-chunk
+
+    @pytest.mark.parametrize("n", [0, 1, 6, 8, TINY_BLOCK, TINY_BLOCK + 1, 3 * TINY_BLOCK + 5])
+    def test_each_sees_every_chunk_once_in_pair_order(self, monkeypatch, n):
+        """each(lo, x, y) runs once per chunk on a worker, lo stepping by CHUNK from each block's
+        start, and its results come back in pair order and join to sample_pairs' pairs."""
+        chunk, b, family = self.TINY_CHUNK, self.TINY_BLOCK, BLOCK_FAMILIES["an5_log"]
+        monkeypatch.setattr(sampling, "CHUNK", chunk)
+        monkeypatch.setattr(sampling, "BLOCK", b)
+        calls = []
+
+        def each(lo, x, y):
+            calls.append((lo, threading.current_thread()))
+            return lo, x, y
+
+        got = list(sampling.pair_blocks(RngState(93), family, n, each))
+        starts = [lo for block in range(0, n, b) for lo in range(block, min(block + b, n), chunk)]
+        assert [lo for lo, _, _ in got] == starts
+        assert sorted(lo for lo, _ in calls) == starts
+        assert threading.main_thread() not in {thread for _, thread in calls}
+        sizes = [x.size for _, x, _ in got]
+        assert [y.size for _, _, y in got] == sizes
+        assert all(0 < s <= chunk for s in sizes) and sum(sizes) == n
+        x, y = sample_pairs(RngState(93), family, n)
+        for whole, part in ((x, 1), (y, 2)):
+            assert np.concatenate([np.empty(0)] + [out[part] for out in got]).tobytes() == whole.tobytes()
+
     def test_tiny_shape_working_set_is_per_chunk(self, monkeypatch):
         """Log-path AN5(5,5,5,1e-4,1e-4) blocks of 2^16 pairs, drawn a 2^10-pair chunk at a time
         on one worker, peak under 32 chunk-sized float arrays (256 KB) of traced memory.  Holding
@@ -656,7 +684,7 @@ class TestChunks:
 
         def draw() -> None:
             family, n = BLOCK_FAMILIES["an5_log"], 4 * sampling.BLOCK
-            for _ in sampling.pair_blocks(RngState(92), family, n, lambda lo, chunks: sum(1 for _ in chunks)):
+            for _ in sampling.pair_blocks(RngState(92), family, n, lambda lo, x, y: x.size):
                 pass
 
         draw()  # the first call allocates what later calls reuse
@@ -669,9 +697,10 @@ class TestChunks:
         assert peak < 32 * sampling.CHUNK * 8, peak / (sampling.CHUNK * 8)
 
     # density_grid's tracemalloc peak in a child on at most two cores, so at most two blocks
-    # are in flight on any machine.  At m=100, holding a whole block's pairs peaked at 30-35 MB
-    # and CHUNK pairs at 7.4 MB.  At m=1000 the counts and the grid are 8 MB arrays: the grid
-    # peaked at 16.6 MB, and with counts returned per block at 46-53 MB.
+    # are in flight on any machine.  At m=100, holding a whole block's pairs peaked at 30-35 MB,
+    # binning on the main thread at 7.6-14 MB, and binning each chunk on its worker at 4.2 MB.
+    # At m=1000 the counts and the grid are 8 MB arrays: the grid peaked at 16.6 MB, and with
+    # counts returned per block at 46-53 MB.
     PEAK_SCRIPT = """
 import sys, tracemalloc
 from bibeta import sampling
@@ -683,7 +712,7 @@ density_grid(FamilySpec.an5(5, 5, 5, 5, 1e-4), m=int(sys.argv[1]), n_samples=4 *
 print(tracemalloc.get_traced_memory()[1])
 """
 
-    @pytest.mark.parametrize("m, bound_mb", [(100, 16), (1000, 32)])
+    @pytest.mark.parametrize("m, bound_mb", [(100, 6), (1000, 32)])
     def test_grid_peak_is_per_chunk(self, m, bound_mb):
         out, _ = launcher.run_python(["-c", self.PEAK_SCRIPT, str(m)])
         assert int(out) < bound_mb * 2**20, int(out) / 2**20
