@@ -172,10 +172,7 @@ def _cmd_posterior(args: argparse.Namespace) -> None:
     meta = _meta(args, ["m", "seed", "stream", "prior_family"])
     data = {
         "data": dataclasses.asdict(d),
-        "mean_eta": summary.mean_eta,
-        "mean_theta": summary.mean_theta,
-        "mode_cell": list(summary.mode_cell),
-        "correlation": summary.correlation,
+        **dataclasses.asdict(summary),
         "pi_posterior": [pi_post.a, pi_post.b],
         "predictive_positive": lam,
         "predictive_negative": psi,

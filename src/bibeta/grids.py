@@ -92,14 +92,14 @@ class DensityGrid:
         return "".join(self.json_chunks())
 
 
-def _histogram(family: FamilySpec, m: int, n_samples: int, rng: Optional[RngState]) -> np.ndarray:
-    """Counts of n_samples draws, each chunk binned (_pair_cells) by the worker that drew it, times m^2 / n_samples."""
+def _histogram(family: FamilySpec, m: int, n_samples: int, seed: Optional[Tuple[int, int]]) -> np.ndarray:
+    """m^2 / n_samples times the counts of n_samples draws of RngState(*seed), binned per chunk on its worker."""
     if n_samples < MIN_ESTIMATED_SAMPLES:
         raise ValueError(
             f"{family.variant} needs n_samples >= {MIN_ESTIMATED_SAMPLES} "
             f"for a histogram density, got {n_samples}"
         )
-    if rng is None:
+    if seed is None:
         raise ValueError(f"a {family.variant} histogram density needs an RngState")
     counts, lock = np.zeros(m * m, np.intp), threading.Lock()
 
@@ -108,7 +108,7 @@ def _histogram(family: FamilySpec, m: int, n_samples: int, rng: Optional[RngStat
         with lock:
             np.add.at(counts, flat, 1)
 
-    for _ in pair_blocks(rng, family, n_samples, add):
+    for _ in pair_blocks(RngState(*seed), family, n_samples, add):
         pass
     return counts.reshape(m, m) * (m * m / n_samples)
 
@@ -124,9 +124,10 @@ def density_grid(
     Closed forms (density at the midpoints) and AN5/AN8 vectors with exact
     cells (cell probability times m^2) ignore n_samples and rng
     (estimated=False, n_samples=0).  Other AN5/AN8 vectors need at least
-    10^4 samples and an RngState; their histogram bins n_samples draws at
-    min(floor(c m), m - 1) on each axis, dropping pairs with a NaN, so it
-    estimates the same cell probabilities with no smoothing bandwidth.
+    10^4 samples and an RngState; their histogram bins n_samples draws of
+    RngState(*rng.identity), leaving rng as it was, at min(floor(c m), m - 1)
+    on each axis, dropping pairs with a NaN, so it estimates the same cell
+    probabilities with no smoothing bandwidth.
     """
     if m < 2:
         raise ValueError(f"grid resolution m must be >= 2, got {m}")
@@ -137,7 +138,7 @@ def density_grid(
         cells = np.exp(exact.cells - exact.top)
         cells *= (m * m) / cells.sum()
         return DensityGrid(m=m, cells=cells, estimated=False, n_samples=0, family=family)
-    cells = _histogram(family, m, n_samples, rng)
+    cells = _histogram(family, m, n_samples, rng and rng.identity)
     return DensityGrid(m=m, cells=cells, estimated=True, n_samples=n_samples, family=family, seed=rng.identity)
 
 
@@ -261,8 +262,7 @@ def _log_cells(
         mid = grid_midpoints(m)
         log_cells = closed_form_logpdf(family, mid[:, None], mid[None, :])
     else:
-        rng = RngState(*seed) if seed else None
-        cells = _cell_masses(family, m) if n_samples is None else _histogram(family, m, n_samples, rng)
+        cells = _cell_masses(family, m) if n_samples is None else _histogram(family, m, n_samples, seed)
         if cells is None:
             return None
         with np.errstate(divide="ignore"):
@@ -275,9 +275,8 @@ def log_prior_cells(family: FamilySpec, m: int, n_samples: int, rng: Optional[Rn
     """Read-only log prior on the m x m grid, up to a constant, and its max, cached.
 
     Closed forms and exact AN5/AN8 cells (see density_grid) ignore
-    n_samples and rng.  Other AN5/AN8 vectors take the log of their
-    histogram density, identified by the rng's (seed, stream); its
-    generator is not consumed, so one state names one grid.
+    n_samples and rng.  Other AN5/AN8 vectors take the log of the histogram
+    density_grid makes of the rng's (seed, stream), cached by that identity.
     """
     exact = _log_cells(family, m)
     return exact if exact is not None else _log_cells(family, m, n_samples, rng and rng.identity)

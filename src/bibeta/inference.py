@@ -154,9 +154,9 @@ def joint_posterior(
     the prior of the cell, normalized to sum to one.  The prior comes from
     grids.log_prior_cells, which caches it with its max: exact priors per
     (family, m), AN5/AN8 histograms per (family, m, prior_samples) and the
-    rng's (seed, stream), whose generator is never consumed here.  All
-    arithmetic runs in log space with a single max subtraction: at n ~ 100
-    the linear-space likelihood underflows.
+    rng's (seed, stream), the grid density_grid makes of them; rng is not
+    advanced.  All arithmetic runs in log space with a single max
+    subtraction: at n ~ 100 the linear-space likelihood underflows.
 
     Only a window is computed.  With (i, j) the argmax of the two likelihood
     factors, the peak is at least the log weight of cell (i, j), and as

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
-from functools import reduce
-from typing import Callable, Iterator, Optional, Tuple, TypeVar
+from dataclasses import dataclass
+from functools import cached_property, reduce
+from typing import Callable, Iterator, Tuple, TypeVar
 
 import numpy as np
 
@@ -58,22 +58,20 @@ class RngState:
     Two states constructed with the same identifiers yield bit-identical
     variate sequences: generator is keyed spawn_key=(stream,), child(*key)
     (stream, *key), and pair_blocks uses key (call key, ordinal, block).
-    Drawing advances the state; one state may not be used concurrently.
+    Pair draws advance the state (a call key from generator); grids and
+    synthetic data are named by its identity.  Not for concurrent use.
     """
 
     seed: int
     stream: int = 0
-    _generator: Optional[np.random.Generator] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.seed < 0 or self.stream < 0:
             raise ValueError(f"seed and stream must be unsigned, got ({self.seed}, {self.stream})")
 
-    @property
+    @cached_property
     def generator(self) -> np.random.Generator:
-        if self._generator is None:
-            self._generator = self.child()
-        return self._generator
+        return self.child()
 
     def child(self, *key: int) -> np.random.Generator:
         """A fresh generator on a derived sub-stream; does not advance this state."""

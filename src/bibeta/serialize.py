@@ -364,14 +364,14 @@ def _slices(a: np.ndarray, box: Tuple[Tuple[int, int], Tuple[int, int]], size: i
 
 
 def _g12_texts(values: List[float]) -> List[str]:
-    return ["%.12g" % v for v in values]
+    return [fmt(v) for v in values]
 
 
 def _csv_slices(a: np.ndarray) -> Iterator[str]:
     """The CSV lines of a 2-D float array, in strings of whole rows of at most _SLICE cells, or of one longer row."""
     cols = a.shape[1]
     box = _box(a)
-    (c0, c1), zero = box[1], "%.12g" % 0.0
+    (c0, c1), zero = box[1], fmt(0.0)
     # the +0.0 cells left and right of the box are literal text; each box cell ends in its separator
     sep = np.repeat(_words("\0" * 7 + ","), c1 - c0)
     if c1 == cols and c1 > c0:

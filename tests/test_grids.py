@@ -74,6 +74,17 @@ class TestEstimatedGrids:
         assert grid.seed == (61, 0)
         assert grid.total_mass() == pytest.approx(1.0, abs=1e-12)
 
+    def test_grid_is_named_by_its_seed_and_stream(self):
+        """Grids on one state are the grid of a fresh state of its identity, and a posterior prior's log."""
+        spec, rng = FamilySpec.an5(5, 5, 5, 5, 1e-4), RngState(3)
+        first, again = (density_grid(spec, m=20, n_samples=20_000, rng=rng) for _ in range(2))
+        fresh = density_grid(spec, m=20, n_samples=20_000, rng=RngState(3))
+        assert first.cells.tobytes() == again.cells.tobytes() == fresh.cells.tobytes()
+        assert first.seed == again.seed == rng.identity
+        with np.errstate(divide="ignore"):
+            logs = np.log(first.cells)
+        assert logs.tobytes() == grids.log_prior_cells(spec, 20, 20_000, rng).cells.tobytes()
+
     def test_minimum_sample_count_enforced(self):
         with pytest.raises(ValueError):
             density_grid(FamilySpec.an5(1, 1, 1, 1, 1), m=10, n_samples=9_999, rng=RngState(1))

@@ -29,6 +29,7 @@ from bibeta.inference import (
 )
 from bibeta.sampling import RngState
 from bibeta.special import BetaParams
+from conditional_oracle import conditional_posterior
 
 INDEP_PRIOR = PriorSpec(
     FamilySpec.independent(BetaParams(10, 5), BetaParams(5, 2.5)), BetaParams(1, 1)
@@ -505,6 +506,42 @@ class TestPosteriorSummary:
             DiagnosticData(0, 0, 0, 0), AN5_PRIOR, m=100, rng=RngState(74), prior_samples=2_000_000
         )
         assert posterior_summary(gp).correlation == pytest.approx(-0.65, abs=0.03)
+
+
+class TestConditionalOracle:
+    """Posterior moments against tests/conditional_oracle.py, which integrates over the shared gamma draw."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(0, 1000), data=st.data())
+    def test_indep_matches_the_exact_beta_posteriors(self, n, data):
+        """At any split of n <= 10^3, where the oracle's fixed ranges hold the posterior mass."""
+        n1 = data.draw(st.integers(0, n))
+        d = DiagnosticData(n, n1, data.draw(st.integers(0, n1)), data.draw(st.integers(0, n - n1)))
+        got = conditional_posterior(INDEP_PRIOR.eta_theta_prior, d)
+        for mean, var, (a, b) in [
+            (got.mean_eta, got.var_eta, (10 + d.k1, 5 + d.n1 - d.k1)),
+            (got.mean_theta, got.var_theta, (5 + d.k2, 2.5 + d.n2 - d.k2)),
+        ]:
+            assert abs(mean - a / (a + b)) <= 1e-12
+            assert abs(var - a * b / ((a + b) ** 2 * (a + b + 1))) <= 1e-12
+
+    @pytest.mark.parametrize("family, m", [
+        (OLM_PRIOR.eta_theta_prior, 100),
+        (OLM_PRIOR.eta_theta_prior, 1000),
+        (FamilySpec.ol_plus(10, 2.5, 5), 1000),
+        (FamilySpec.ol_star(10, 2.5, 5), 1000),
+    ], ids=["ol-minus-100", "ol-minus-1000", "ol-plus-1000", "ol-star-1000"])
+    def test_ol_grid_posterior_matches_the_oracle(self, family, m):
+        """At n = 100 the posterior vanishes to high order at the edges of the square, so the grid's
+        midpoint sums agree with the integrals to rounding."""
+        d = DiagnosticData(100, 35, 28, 50)
+        gp = joint_posterior(d, PriorSpec(family, BetaParams(1, 1)), m=m)
+        s = posterior_summary(gp)
+        var_eta, var_theta = (float(p @ (gp.eta_axis - mean) ** 2)
+                              for p, mean in zip(gp.marginals, (s.mean_eta, s.mean_theta)))
+        want = conditional_posterior(family, d)
+        got = (s.mean_eta, s.mean_theta, var_eta, var_theta, s.correlation)
+        assert np.abs(np.subtract(got, want)).max() <= 1e-12
 
 
 class TestPredictiveValues:
